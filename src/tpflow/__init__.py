@@ -43,15 +43,7 @@ from .network import (
     validate,
 )
 from .newton import nr_iteration_count, nr_solve
-from .sparse import (
-    BlockSystem,
-    MemoryGuardError,
-    SparseFactorization,
-    assemble_block_system,
-    batch_solve_sparse,
-    factorization_count,
-    factorize,
-)
+from .sparse import batch_solve_sparse, factorization_count, factorize
 from .synth import GenSpec, assign_impedances, build_network, gen_kary_tree, gen_scenarios
 from .twobus import (
     BasinMap,
@@ -93,10 +85,6 @@ __all__ = [
     "reshape_tensor",
     "unreshape",
     "batch_solve_dense",
-    "BlockSystem",
-    "MemoryGuardError",
-    "SparseFactorization",
-    "assemble_block_system",
     "batch_solve_sparse",
     "factorize",
     "factorization_count",

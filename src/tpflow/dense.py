@@ -56,7 +56,11 @@ class PowerTensor:
 
 @dataclass(frozen=True)
 class LoadMatrix:
-    """Loads reshaped to bphi x tau; column j is case j in row-major order."""
+    """Loads reshaped to bphi x tau; column j is case j in row-major order.
+
+    An empty batch (tau = 0) and non-finite entries are rejected with
+    :class:`ValueError`.
+    """
 
     values: np.ndarray
     dims: tuple[int, ...] = ()
@@ -65,6 +69,14 @@ class LoadMatrix:
         vals = np.asarray(self.values, dtype=complex)
         if vals.ndim != 2:
             raise ValueError("load matrix must be 2-D (nodes x cases)")
+        if vals.shape[1] == 0:
+            raise ValueError("load matrix has no cases: the batch is empty (tau = 0)")
+        finite = np.isfinite(vals)
+        if not finite.all():
+            case, node = np.argwhere(~finite.T)[0]
+            raise ValueError(
+                f"non-finite load {vals[node, case]} at node {node}, case {case}"
+            )
         object.__setattr__(self, "values", vals)
         if not self.dims:
             object.__setattr__(self, "dims", (vals.shape[1],))

@@ -213,6 +213,7 @@ def read_loads(path) -> LoadMatrix:
                 f"p_1,q_1,...,p_{b},q_{b} layout"
             )
         rows = []
+        linenos = []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -227,9 +228,16 @@ def read_loads(path) -> LoadMatrix:
                 rows.append([float(p) for p in parts])
             except ValueError as exc:
                 raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
+            linenos.append(lineno)
     if not rows:
         raise FileFormatError(f"{path}: no load cases")
     arr = np.asarray(rows)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise FileFormatError(
+            f"{path}: line {linenos[row]}: non-finite {names[col]} = {arr[row, col]}"
+        )
     values = (arr[:, 0::2] + 1j * arr[:, 1::2]).T
     return LoadMatrix(values=values, dims=(values.shape[1],))
 

@@ -1,17 +1,13 @@
-"""Batched fixed-point power flow as one block-diagonal sparse system.
+"""Batched fixed-point power flow through one sparse LU of Y_dd.
 
-Each load case contributes one diagonal block
+The dense path's update ``V <- -Z_B (S / V)* + W`` with ``Z_B = Y_dd^(-1)``
+is applied here without forming the inverse: every iteration solves
 
-    m_i = -diag(1 / s_i*) Y_dd
+    Y_dd V_(n+1) = -(S* / V_(n)*) - Y_ds v_s
 
-and the iteration solves, with a single factorization reused throughout,
-
-    M V_(n+1) = (V_(n)*)^(-1) + H,        H_i = diag(1 / s_i*) Y_ds v_s.
-
-Zero-load rows cannot be scaled by 1/s*; for those the unscaled balance
-row is used instead (row = Y_dd row, H entry = -(Y_ds v_s) entry) and the
-reciprocal term is replaced by 0, which is the exact linear equation for a
-node drawing no power.
+for the whole bphi x tau right-hand side with one LU factorization of Y_dd,
+computed once per batch.  A zero-load entry contributes an exact zero to the
+right-hand side, so such nodes need no special handling.
 
 The factorization count is observable through :func:`factorization_count`
 so reuse (exactly one analysis+factorization per batch) can be asserted.
@@ -20,7 +16,6 @@ so reuse (exactly one analysis+factorization per batch) can be asserted.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -31,17 +26,10 @@ from .fpi import SingularSystemError, SolveOptions, ZERO_VOLTAGE_GUARD
 from .network import NetworkModel
 
 __all__ = [
-    "SparseFactorization",
-    "BlockSystem",
-    "assemble_block_system",
     "factorize",
     "batch_solve_sparse",
     "factorization_count",
-    "MemoryGuardError",
 ]
-
-# default refusal threshold for the stacked block matrix, in nonzeros
-DEFAULT_MAX_BLOCK_NNZ = 50_000_000
 
 _factorizations = 0
 _counter_lock = threading.Lock()
@@ -52,26 +40,12 @@ def factorization_count() -> int:
     return _factorizations
 
 
-class MemoryGuardError(MemoryError):
-    """Raised instead of assembling an oversized block-diagonal system."""
-
-
-@dataclass
-class SparseFactorization:
-    """Reusable handle over one LU factorization of a sparse complex matrix."""
-
-    _lu: object
-    shape: tuple[int, int]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._lu.solve(rhs)
-
-
-def factorize(matrix) -> SparseFactorization:
+def factorize(matrix):
     """Fill-reducing ordering, symbolic analysis and numeric factorization.
 
-    Singular input raises :class:`SingularSystemError` naming structurally
-    empty rows/columns when those are the cause.
+    Returns scipy's ``SuperLU`` object, whose ``solve`` accepts one or many
+    right-hand sides.  Singular input raises :class:`SingularSystemError`
+    naming structurally empty rows/columns when those are the cause.
     """
     global _factorizations
     m = sparse.csc_matrix(matrix, dtype=complex)
@@ -94,113 +68,48 @@ def factorize(matrix) -> SparseFactorization:
         ) from exc
     with _counter_lock:
         _factorizations += 1
-    return SparseFactorization(_lu=lu, shape=m.shape)
-
-
-@dataclass
-class BlockSystem:
-    """Stacked block-diagonal system for a whole batch.
-
-    ``zero_mask`` marks (node, case) entries with zero load, whose rows are
-    kept in unscaled form.
-    """
-
-    m_dot: sparse.csc_matrix
-    h_dot: np.ndarray
-    n_demand: int
-    tau: int
-    zero_mask: np.ndarray
-
-
-def assemble_block_system(
-    model: NetworkModel,
-    loads: LoadMatrix,
-    max_nnz: int = DEFAULT_MAX_BLOCK_NNZ,
-) -> BlockSystem:
-    """Concatenate per-case blocks diagonally into one sparse matrix."""
-    if not model.zip.is_constant_power:
-        raise ValueError("the sparse batch path supports constant-power loads only")
-    if loads.n_demand != model.n_demand:
-        raise ValueError(
-            f"load matrix has {loads.n_demand} rows, model has {model.n_demand}"
-        )
-    y_dd = model.admittance.y_dd.tocsc()
-    b = model.n_demand
-    tau = loads.tau
-    nnz = y_dd.nnz
-    total = nnz * tau
-    if total > max_nnz:
-        raise MemoryGuardError(
-            f"block system would hold {total} nonzeros (> {max_nnz}); "
-            "chunk the batch over cases and solve the chunks separately"
-        )
-
-    s_conj = np.conj(loads.values)
-    zero_mask = s_conj == 0
-
-    # tile the CSC structure of Y_dd once per case; rows with load are
-    # divided by -s* in one rounding step, zero-load rows stay unscaled
-    src = model.source_injection()  # Y_ds v_s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row_s = s_conj.T[:, y_dd.indices]  # tau x nnz
-        data = np.where(
-            zero_mask.T[:, y_dd.indices],
-            y_dd.data[None, :],
-            -(y_dd.data[None, :] / row_s),
-        ).ravel()
-        h = np.where(zero_mask.T, -src[None, :], src[None, :] / s_conj.T)
-    indices = (np.tile(y_dd.indices, tau)
-               + np.repeat(np.arange(tau, dtype=np.int64) * b, nnz))
-    indptr = np.concatenate(
-        [[0], np.tile(np.diff(y_dd.indptr), tau)]
-    ).cumsum()
-    m_dot = sparse.csc_matrix((data, indices, indptr), shape=(b * tau, b * tau))
-    return BlockSystem(
-        m_dot=m_dot,
-        h_dot=h.ravel(),
-        n_demand=b,
-        tau=tau,
-        zero_mask=zero_mask,
-    )
+    return lu
 
 
 def batch_solve_sparse(
     model: NetworkModel,
     loads: LoadMatrix,
     opts: SolveOptions = SolveOptions(),
-    max_nnz: int = DEFAULT_MAX_BLOCK_NNZ,
 ) -> VoltageBatch:
-    """Iterate the stacked system with a single reused factorization.
+    """Iterate all columns jointly with a single reused LU of Y_dd.
 
     Matches :func:`tpflow.dense.batch_solve_dense` column for column (same
-    update, same joint stop rule), trading the dense inverse for one sparse
-    factorization whose cost is independent of the iteration count.
+    update, same joint stop rule), applying ``Y_dd^(-1)`` through one sparse
+    factorization instead of a dense inverse.  Requires pure constant-power
+    loads; mixed ZIP models raise :class:`ValueError`.
     """
-    system = assemble_block_system(model, loads, max_nnz=max_nnz)
-    lu = factorize(system.m_dot)
+    if not model.zip.is_constant_power:
+        raise ValueError("the sparse batch path supports constant-power loads only")
+    if loads.n_demand != model.n_demand:
+        raise ValueError(
+            f"load matrix has {loads.n_demand} rows, model has {model.n_demand}"
+        )
+    lu = factorize(model.admittance.y_dd)
 
-    b, tau = system.n_demand, system.tau
-    zero_flat = system.zero_mask.T.ravel()
-    v = np.full(b * tau, abs(model.slack.v_s) * (1.0 + 0.0j))
+    neg_s_conj = -np.conj(loads.values)
+    src = model.source_injection()[:, None]
+    v = np.full(loads.values.shape, abs(model.slack.v_s) * (1.0 + 0.0j))
     n = 0
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         while n < opts.max_iterations:
             v = np.where(np.abs(v) < ZERO_VOLTAGE_GUARD,
                          ZERO_VOLTAGE_GUARD * (1.0 + 0.0j), v)
-            recip = 1.0 / np.conj(v)
-            recip[zero_flat] = 0.0
-            v_next = lu.solve(recip + system.h_dot)
+            v_next = lu.solve(neg_s_conj / np.conj(v) - src)
             delta = np.abs(v_next - v).max(initial=0.0)
             v = v_next
             n += 1
             if np.isfinite(delta) and delta < opts.tolerance:
                 break
 
-    values = v.reshape(tau, b).T
-    residuals = _safe_residuals(model, values, loads.values)
+    residuals = _safe_residuals(model, v, loads.values)
     converged = np.isfinite(residuals) & (residuals < opts.residual_tolerance)
     return VoltageBatch(
-        values=np.ascontiguousarray(values),
+        values=np.ascontiguousarray(v),
         iterations=n,
         converged_mask=converged,
         residuals=residuals,

@@ -11,6 +11,7 @@ from tpflow.dense import (
 )
 from tpflow.fpi import SolveOptions, fpi_solve
 from tpflow.network import NetworkModel, ZipCoefficients
+from tpflow.sparse import batch_solve_sparse
 
 from conftest import feasible_batch, two_bus_model
 
@@ -48,6 +49,22 @@ class TestReshape:
         back = unreshape(reshape_tensor(tensor))
         assert np.array_equal(back.values, tensor.values)
         assert back.dims == tensor.dims
+
+
+class TestLoadMatrix:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, np.nan)])
+    def test_non_finite_load_named(self, bad):
+        vals = np.full((4, 9), 0.1 + 0.05j)
+        vals[3, 5] = bad
+        vals[1, 7] = np.inf
+        with pytest.raises(ValueError, match="non-finite load .* at node 3, case 5"):
+            LoadMatrix(vals)
+
+    @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
+    def test_empty_batch_rejected_for_both_paths(self, nine_bus_model, solver):
+        with pytest.raises(ValueError, match="no cases"):
+            solver(nine_bus_model,
+                   LoadMatrix(np.zeros((nine_bus_model.n_demand, 0), dtype=complex)))
 
 
 class TestBatchSolve:

@@ -141,6 +141,14 @@ class TestLoadFiles:
         with pytest.raises(FileFormatError, match="line 2"):
             read_loads(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_diagnosed(self, tmp_path, bad):
+        path = tmp_path / "loads.csv"
+        # the blank line is skipped but still counted
+        path.write_text(f"p_1,q_1,p_2,q_2\n0.1,0.0,0.1,0.0\n\n0.1,{bad},0.2,0.0\n")
+        with pytest.raises(FileFormatError, match=r"loads\.csv: line 4: non-finite q_1"):
+            read_loads(path)
+
     def test_empty_file_diagnosed(self, tmp_path):
         path = tmp_path / "loads.csv"
         path.write_text("")

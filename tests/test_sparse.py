@@ -4,105 +4,11 @@ from scipy import sparse as sp
 
 from tpflow.dense import LoadMatrix, batch_solve_dense
 from tpflow.fpi import SingularSystemError, SolveOptions
-from tpflow.sparse import (
-    MemoryGuardError,
-    assemble_block_system,
-    batch_solve_sparse,
-    factorization_count,
-    factorize,
-)
+from tpflow.sparse import batch_solve_sparse, factorization_count, factorize
 
 from conftest import feasible_batch, two_bus_model
 
 V_HIGH = (1 + np.sqrt(0.96)) / 2
-
-
-def block_diag_oracle(model, loads):
-    """Dense block-diagonal assembly, case by case, with plain numpy."""
-    y_dd = model.admittance.y_dd.toarray()
-    src = model.admittance.y_ds.toarray().ravel() * model.slack.v_s
-    blocks = []
-    rhs = []
-    for j in range(loads.tau):
-        s_conj = np.conj(loads.values[:, j])
-        block = np.empty_like(y_dd)
-        h = np.empty(len(s_conj), dtype=complex)
-        for i, sc in enumerate(s_conj):
-            if sc == 0:
-                block[i] = y_dd[i]
-                h[i] = -src[i]
-            else:
-                block[i] = -y_dd[i] / sc
-                h[i] = src[i] / sc
-        blocks.append(block)
-        rhs.append(h)
-    full = np.zeros((loads.tau * len(src),) * 2, dtype=complex)
-    b = len(src)
-    for j, block in enumerate(blocks):
-        full[j * b:(j + 1) * b, j * b:(j + 1) * b] = block
-    return full, np.concatenate(rhs)
-
-
-class TestAssemble:
-    def test_single_case_block(self, nine_bus_model):
-        loads = feasible_batch(nine_bus_model, 1, seed=30)
-        system = assemble_block_system(nine_bus_model, loads)
-        expected, _ = block_diag_oracle(nine_bus_model, loads)
-        assert np.abs(system.m_dot.toarray() - expected).max() < 1e-14
-        # row i of the single block is -Y_dd[i] / s_i*
-        i = 2
-        s_conj = np.conj(loads.values[i, 0])
-        row = system.m_dot.toarray()[i]
-        assert row == pytest.approx(
-            -nine_bus_model.admittance.y_dd.toarray()[i] / s_conj, rel=1e-14
-        )
-
-    def test_identical_cases_identical_blocks(self, nine_bus_model):
-        s = feasible_batch(nine_bus_model, 1, seed=31).values
-        loads = LoadMatrix(np.repeat(s, 2, axis=1))
-        system = assemble_block_system(nine_bus_model, loads)
-        b = nine_bus_model.n_demand
-        dense = system.m_dot.toarray()
-        assert np.array_equal(dense[:b, :b], dense[b:, b:])
-
-    def test_matches_dense_block_oracle(self, nine_bus_model):
-        loads = feasible_batch(nine_bus_model, 10, seed=32)
-        # plant a couple of zero loads to exercise the unscaled rows
-        vals = loads.values.copy()
-        vals[2, 3] = 0.0
-        vals[5, 7] = 0.0
-        loads = LoadMatrix(vals)
-        system = assemble_block_system(nine_bus_model, loads)
-        oracle_m, oracle_h = block_diag_oracle(nine_bus_model, loads)
-        assert np.abs(system.m_dot.toarray() - oracle_m).max() < 1e-14
-        assert np.abs(system.h_dot - oracle_h).max() < 1e-14
-
-    def test_no_cross_case_coupling(self, nine_bus_model):
-        loads = feasible_batch(nine_bus_model, 7, seed=33)
-        system = assemble_block_system(nine_bus_model, loads)
-        coo = system.m_dot.tocoo()
-        b = nine_bus_model.n_demand
-        assert np.array_equal(coo.row // b, coo.col // b)
-        assert system.m_dot.nnz == loads.tau * nine_bus_model.admittance.y_dd.nnz
-
-    def test_memory_guard(self, nine_bus_model):
-        loads = feasible_batch(nine_bus_model, 50, seed=34)
-        with pytest.raises(MemoryGuardError, match="chunk"):
-            assemble_block_system(nine_bus_model, loads, max_nnz=100)
-
-    def test_zip_models_rejected(self, nine_bus_model):
-        from tpflow.network import NetworkModel, ZipCoefficients
-
-        b = nine_bus_model.n_demand
-        model = NetworkModel(
-            admittance=nine_bus_model.admittance,
-            slack=nine_bus_model.slack,
-            zip=ZipCoefficients(
-                alpha_z=np.ones(b), alpha_i=np.zeros(b), alpha_p=np.zeros(b)
-            ),
-        )
-        with pytest.raises(ValueError, match="constant-power"):
-            assemble_block_system(model, feasible_batch(nine_bus_model, 2, seed=35))
 
 
 class TestFactorize:
@@ -194,3 +100,17 @@ class TestBatchSolve:
         cols = np.array([[0.05 + 0.02j, 3.0 + 2.0j, 0.18 + 0.11j]])
         out = batch_solve_sparse(model, LoadMatrix(cols))
         assert list(out.converged_mask) == [True, False, True]
+
+    def test_zip_models_rejected(self, nine_bus_model):
+        from tpflow.network import NetworkModel, ZipCoefficients
+
+        b = nine_bus_model.n_demand
+        model = NetworkModel(
+            admittance=nine_bus_model.admittance,
+            slack=nine_bus_model.slack,
+            zip=ZipCoefficients(
+                alpha_z=np.ones(b), alpha_i=np.zeros(b), alpha_p=np.zeros(b)
+            ),
+        )
+        with pytest.raises(ValueError, match="constant-power"):
+            batch_solve_sparse(model, feasible_batch(nine_bus_model, 2, seed=35))
