@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dense import LoadMatrix, VoltageBatch, batch_solve_dense
+from .dense import LoadMatrix, batch_solve_dense, solve_cases
 from .fpi import SolveOptions, fpi_solve
 from .newton import nr_solve
 from .sparse import batch_solve_sparse
@@ -61,7 +61,6 @@ class BenchConfig:
     repeats: int = 3
     warmup: int = 1
     timeout: float = 300.0
-    workers: int = 1
     options: SolveOptions = field(default_factory=SolveOptions)
 
     def __post_init__(self) -> None:
@@ -74,47 +73,27 @@ class BenchConfig:
             raise ValueError("repeats must be >= 1")
 
 
-def _batch_via_cases(case_solver, model, loads: LoadMatrix, opts: SolveOptions):
-    from .dense import VoltageBatch
-
-    tau = loads.tau
-    v = np.empty((model.n_demand, tau), dtype=complex)
-    mask = np.zeros(tau, dtype=bool)
-    residuals = np.empty(tau)
-    iterations = 0
-    for j in range(tau):
-        res = case_solver(model, loads.values[:, j], opts)
-        v[:, j] = res.v
-        mask[j] = res.converged
-        residuals[j] = res.residual
-        iterations = max(iterations, res.iterations)
-    return VoltageBatch(
-        values=v, iterations=iterations, converged_mask=mask, residuals=residuals
-    )
-
-
 def solve_batch(method: str, model, loads: LoadMatrix,
-                opts: SolveOptions = SolveOptions(), workers: int = 1):
+                opts: SolveOptions = SolveOptions()):
     """Run one batch with the chosen method; returns a VoltageBatch.
 
     "fpi" and "nr" loop over cases; "dense" and "sparse" solve jointly.
     Output column j always corresponds to input case j.
     """
     if method == "dense":
-        return batch_solve_dense(model, loads, opts, workers=workers)
+        return batch_solve_dense(model, loads, opts)
     if method == "sparse":
         return batch_solve_sparse(model, loads, opts)
     if method == "fpi":
-        return _batch_via_cases(fpi_solve, model, loads, opts)
+        return solve_cases(fpi_solve, model, loads, opts)
     if method == "nr":
-        return _batch_via_cases(nr_solve, model, loads, opts)
+        return solve_cases(nr_solve, model, loads, opts)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _solve_cell(method: str, model, loads: LoadMatrix, opts: SolveOptions,
-                workers: int) -> int:
+def _solve_cell(method: str, model, loads: LoadMatrix, opts: SolveOptions) -> int:
     """Run one method over the whole batch; returns the iteration count."""
-    return solve_batch(method, model, loads, opts, workers).iterations
+    return solve_batch(method, model, loads, opts).iterations
 
 
 def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
@@ -142,9 +121,7 @@ def _time_cell(method, model, loads, b_phi, tau, config) -> BenchRecord:
     try:
         for rep in range(config.warmup + config.repeats):
             t0 = time.perf_counter()
-            iterations = _solve_cell(
-                method, model, loads, config.options, config.workers
-            )
+            iterations = _solve_cell(method, model, loads, config.options)
             dt = time.perf_counter() - t0
             if rep >= config.warmup:
                 times.append(dt)

@@ -9,7 +9,6 @@ produce byte-identical data files (timings live in the metadata document).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -25,18 +24,6 @@ from .synth import GenSpec, build_network, gen_scenarios
 __all__ = ["main"]
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("TPF_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValueError(f"TPF_THREADS={env!r} is not an integer") from exc
-    return 1
-
-
 def _options(args) -> SolveOptions:
     return SolveOptions(tolerance=args.tol, max_iterations=args.max_iter)
 
@@ -46,9 +33,6 @@ def _add_solver_flags(parser) -> None:
                         help="voltage step tolerance (default 1e-10)")
     parser.add_argument("--max-iter", type=int, default=100,
                         help="iteration cap (default 100)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker count for the dense path "
-                             "(default: TPF_THREADS or 1)")
 
 
 def _cmd_solve(args) -> int:
@@ -56,7 +40,7 @@ def _cmd_solve(args) -> int:
     loads = fileio.read_loads(args.loads)
     opts = _options(args)
     t0 = time.perf_counter()
-    batch = solve_batch(args.method, model, loads, opts, workers=_threads(args))
+    batch = solve_batch(args.method, model, loads, opts)
     wall = time.perf_counter() - t0
     fileio.write_voltages(args.out, batch)
     meta = {
@@ -167,7 +151,6 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         repeats=args.repeats,
         timeout=args.timeout,
-        workers=_threads(args),
         options=_options(args),
     )
     records = run_benchmark(config)

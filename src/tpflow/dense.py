@@ -7,19 +7,20 @@ jointly:
 
 with Z_B = Y_dd^(-1) materialized once (dense) and W the no-load voltage
 broadcast across columns.  One GEMM per iteration does the work of tau
-independent solves; columns are independent, so the batch can be chunked
-across worker threads without changing any column's arithmetic.
+independent solves.  The batch driver shared with the sparse path, and the
+per-case loop it falls back to for mixed ZIP loads, live here too.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fpi import SolveOptions, ZERO_VOLTAGE_GUARD, fpi_solve, residual_per_case
+from .fpi import (
+    SolveOptions, fixed_point, fpi_solve, residual_per_case, start_voltage,
+)
 from .network import NetworkModel
 
 __all__ = [
@@ -92,7 +93,7 @@ class LoadMatrix:
 
 @dataclass
 class VoltageBatch:
-    """Solved voltages per case plus joint iteration count and per-case flags."""
+    """Solved voltages per case, the iterations run and per-case flags."""
 
     values: np.ndarray  # bphi x tau complex
     iterations: int
@@ -123,116 +124,82 @@ def unreshape(loads: LoadMatrix) -> PowerTensor:
     return PowerTensor(values=loads.values.T.reshape(*loads.dims, bphi))
 
 
-def _iterate_chunk(zb_neg, s_conj, w, v, v_next, u, lo, hi):
-    """One update on columns [lo, hi); returns the chunk's max |dv|.
-
-    ``u`` is scratch sized like ``v``; everything runs in place so the large
-    arrays are touched a minimal number of times per iteration.
-    """
-    sl = slice(lo, hi)
-    np.conjugate(v[:, sl], out=u[:, sl])
-    np.divide(s_conj[:, sl], u[:, sl], out=u[:, sl])
-    np.matmul(zb_neg, u[:, sl], out=v_next[:, sl])
-    np.add(v_next[:, sl], w[:, None], out=v_next[:, sl])
-    np.subtract(v_next[:, sl], v[:, sl], out=u[:, sl])
-    return float(np.abs(u[:, sl]).max(initial=0.0))
-
-
 def batch_solve_dense(
     model: NetworkModel,
     loads: LoadMatrix,
     opts: SolveOptions = SolveOptions(),
-    workers: int = 1,
 ) -> VoltageBatch:
-    """Solve all columns jointly until every column meets the tolerance.
+    """Solve all columns jointly with one dense ``Z_B = Y_dd^(-1)``.
 
-    The joint stop rule is the max-norm over the whole batch, so the batch
-    iteration count is the max of the per-case counts; converged columns
-    keep iterating until the global stop (their arithmetic is unaffected).
-    Requires pure constant-power loads; mixed ZIP models are routed through
-    the single-case solver column by column.
+    See :func:`solve_columns` for the stop rule and the ZIP routing.
+    """
+    return solve_columns(model, loads, opts, _dense_z)
+
+
+def _dense_z(y_dd):
+    zb = np.linalg.inv(y_dd.toarray())
+    # a Fortran-ordered product keeps every b x tau operand column-major
+    return lambda u: np.matmul(zb, u, order="F")
+
+
+def solve_columns(
+    model: NetworkModel, loads: LoadMatrix, opts: SolveOptions, make_z
+) -> VoltageBatch:
+    """Batch driver shared by the dense and sparse paths.
+
+    ``make_z(y_dd)`` returns the map applying ``Z_B = Y_dd^(-1)`` to a
+    b x tau array.  Pure constant-power loads run as one
+    :func:`tpflow.fpi.fixed_point` over all columns, started from
+    :func:`tpflow.fpi.start_voltage`; any other ZIP mix goes case by case
+    through :func:`tpflow.fpi.fpi_solve`.
+
+    Stop rule: a column is done at the first iteration its max |dv| falls
+    under ``opts.tolerance``, and the batch stops once every column is done
+    or has gone non-finite, or at ``opts.max_iterations``.  When steps
+    shrink this is the joint max-norm rule, so ``iterations`` is the max of
+    the per-case counts; a non-finite column does not hold the batch open.
+    A case is converged when its step met the tolerance and its power
+    residual is under ``opts.residual_tolerance``.
     """
     if loads.n_demand != model.n_demand:
         raise ValueError(
             f"load matrix has {loads.n_demand} rows, model has {model.n_demand}"
         )
     if not model.zip.is_constant_power:
-        return _batch_via_single(model, loads, opts)
+        return solve_cases(fpi_solve, model, loads, opts)
 
-    tau = loads.tau
-    zb_neg = -np.linalg.inv(model.admittance.y_dd.toarray())
-    w = zb_neg @ model.source_injection()
-
-    s_conj = np.asfortranarray(np.conj(loads.values))
-    v = np.full((model.n_demand, tau), abs(model.slack.v_s) * (1.0 + 0.0j), order="F")
-    v_next = np.empty_like(v)
-    scratch = np.empty_like(v)
-
-    workers = max(1, workers)
-    bounds = np.linspace(0, tau, workers + 1).astype(int)
-    chunks = [
-        (lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-    ]
-    pool = ThreadPoolExecutor(max_workers=workers) if len(chunks) > 1 else None
-
-    n = 0
-    try:
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            while n < opts.max_iterations:
-                small = np.abs(v) < ZERO_VOLTAGE_GUARD
-                if small.any():
-                    np.copyto(v, ZERO_VOLTAGE_GUARD * (1.0 + 0.0j), where=small)
-                if pool is None:
-                    deltas = [
-                        _iterate_chunk(zb_neg, s_conj, w, v, v_next, scratch, lo, hi)
-                        for lo, hi in chunks
-                    ]
-                else:
-                    deltas = list(
-                        pool.map(
-                            lambda c, vv=v, vn=v_next: _iterate_chunk(
-                                zb_neg, s_conj, w, vv, vn, scratch, *c
-                            ),
-                            chunks,
-                        )
-                    )
-                v, v_next = v_next, v
-                n += 1
-                d = np.asarray(deltas)
-                # non-finite deltas (diverging columns) hold the loop open to
-                # the cap; healthy columns keep refining meanwhile
-                if np.all(np.isfinite(d)) and d.max() < opts.tolerance:
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    residuals = _safe_residuals(model, v, loads.values)
-    converged = np.isfinite(residuals) & (residuals < opts.residual_tolerance)
+    apply_z = make_z(model.admittance.y_dd)
+    run = fixed_point(
+        apply_z,
+        np.negative(np.conj(loads.values), order="F"),
+        apply_z(-model.source_injection()[:, None]),
+        start_voltage(model, opts, loads.tau),
+        opts.tolerance,
+        opts.max_iterations,
+    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        residuals = residual_per_case(model, run.v, loads.values)
     return VoltageBatch(
-        values=np.ascontiguousarray(v),
-        iterations=n,
-        converged_mask=converged,
+        values=np.ascontiguousarray(run.v),
+        iterations=run.iterations,
+        converged_mask=(run.first_converged > 0)
+        & (residuals < opts.residual_tolerance),
         residuals=residuals,
     )
 
 
-def _safe_residuals(model, v, s) -> np.ndarray:
-    with np.errstate(invalid="ignore", over="ignore"):
-        res = residual_per_case(model, v, s)
-    return np.atleast_1d(np.asarray(res, dtype=float))
-
-
-def _batch_via_single(
-    model: NetworkModel, loads: LoadMatrix, opts: SolveOptions
+def solve_cases(
+    case_solver, model: NetworkModel, loads: LoadMatrix, opts: SolveOptions
 ) -> VoltageBatch:
+    """Run ``case_solver(model, s, opts)`` on each column; ``iterations`` is
+    the max over the cases."""
     tau = loads.tau
     v = np.empty((model.n_demand, tau), dtype=complex)
     mask = np.zeros(tau, dtype=bool)
     residuals = np.empty(tau)
     iterations = 0
     for j in range(tau):
-        res = fpi_solve(model, loads.values[:, j], opts)
+        res = case_solver(model, loads.values[:, j], opts)
         v[:, j] = res.v
         mask[j] = res.converged
         residuals[j] = res.residual

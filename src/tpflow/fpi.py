@@ -13,6 +13,10 @@ with constant matrices built once per operating point:
 
 where ``.`` is elementwise product and ``(.)^(-1)`` the elementwise
 reciprocal.  F and w are applied through a single LU factorization of B.
+
+Every fixed-point path in the package (this solver, the dense and sparse
+batches and the two-bus basin scan) runs the same update through
+:func:`fixed_point`; they differ only in how they apply ``B^(-1)``.
 """
 
 from __future__ import annotations
@@ -95,9 +99,6 @@ class FpiMatrices:
         """Materialize F = -B^(-1) diag(a) (small systems / inspection)."""
         return -self.lu.solve(np.diag(self.a).astype(complex))
 
-    def apply_f(self, u: np.ndarray) -> np.ndarray:
-        return -self.lu.solve(self.a * u)
-
 
 def _find_empty_rows(m: sparse.csc_matrix) -> list[int]:
     csr = m.tocsr()
@@ -127,8 +128,95 @@ def assemble_fpi(model: NetworkModel, s: np.ndarray) -> FpiMatrices:
     return FpiMatrices(a=a, B=B, c=c, w=w, lu=lu)
 
 
-def _flat_start(model: NetworkModel) -> np.ndarray:
-    return np.full(model.n_demand, abs(model.slack.v_s) * (1.0 + 0.0j))
+def start_voltage(
+    model: NetworkModel, opts: SolveOptions, tau: int = 1
+) -> np.ndarray:
+    """First iterate, b x tau in Fortran order.
+
+    Every column is ``opts.initial_voltage`` when given, else the flat start
+    |v_s|.  A start of the wrong length raises :class:`ValueError`.
+    """
+    if opts.initial_voltage is None:
+        v0 = np.full(model.n_demand, abs(model.slack.v_s) * (1.0 + 0.0j))
+    else:
+        v0 = np.asarray(opts.initial_voltage, dtype=complex).ravel()
+        if v0.shape[0] != model.n_demand:
+            raise ValueError("initial voltage length mismatch")
+    v = np.empty((model.n_demand, tau), dtype=complex, order="F")
+    v[:] = v0[:, None]
+    return v
+
+
+@dataclass
+class FixedPointRun:
+    """Outcome of :func:`fixed_point`, per column and per iteration."""
+
+    v: np.ndarray  # final iterate, b x tau
+    iterations: int
+    # iteration at which the column's max step first fell under the
+    # tolerance; 0 if it never did
+    first_converged: np.ndarray
+    non_finite: np.ndarray  # the column left the run on a non-finite step
+    guarded_at: int  # last iteration the zero-voltage guard fired, 0 if none
+    # max and sum of |dv| over all columns (NaN once a column is non-finite)
+    step_inf: list[float]
+    step_l1: list[float]
+
+
+def fixed_point(
+    apply_z, a: np.ndarray, w: np.ndarray, v: np.ndarray,
+    tolerance: float, max_iterations: int,
+) -> FixedPointRun:
+    """Iterate ``v <- apply_z(a / v*) + w`` over the columns of ``v``.
+
+    ``v`` is the b x tau start and is overwritten; ``a`` and ``w`` broadcast
+    against it.  ``apply_z`` applies the linear map (a dense ``Z_B``, an LU
+    solve, a scalar) to a b x tau array; it may return its argument, which
+    is not read again.  Iterate entries under ``ZERO_VOLTAGE_GUARD`` in
+    magnitude are raised to it before the update.
+
+    Stop rule: a column is recorded at the first iteration its max |dv|
+    falls under ``tolerance``; a column whose ``a`` is all zero is recorded
+    at the first iteration, since its map is constant.  The run stops when
+    every column is recorded or has had a non-finite step, or after
+    ``max_iterations``.  A non-finite column thus never holds the others
+    open; recorded columns keep iterating until the run stops.
+    """
+    # int + bool broadcasts the A = 0 shortcut over the tau columns
+    first = np.zeros(v.shape[1], dtype=int) + ~np.any(a, axis=0)
+    pending = first == 0
+    u = np.empty_like(v)
+    step_inf: list[float] = []
+    step_l1: list[float] = []
+    guarded_at = n = 0
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        while n < max_iterations:
+            n += 1
+            small = np.abs(v) < ZERO_VOLTAGE_GUARD
+            if small.any():
+                np.copyto(v, ZERO_VOLTAGE_GUARD * (1.0 + 0.0j), where=small)
+                guarded_at = n
+            np.conjugate(v, out=u)
+            np.divide(a, u, out=u)
+            v_next = apply_z(u)
+            v_next += w
+            # the old iterate's storage takes the step, then the next scratch
+            np.subtract(v_next, v, out=v)
+            dv = np.abs(v)
+            col = dv.max(axis=0)
+            met = pending & (col < tolerance)
+            first[met] = n
+            pending &= np.isfinite(col) & ~met
+            step_inf.append(float(col.max()))
+            step_l1.append(float(dv.sum()))
+            u, v = v, v_next
+            if not pending.any():
+                break
+    return FixedPointRun(
+        v=v, iterations=n, first_converged=first,
+        non_finite=~pending & (first == 0), guarded_at=guarded_at,
+        step_inf=step_inf, step_l1=step_l1,
+    )
 
 
 def fpi_solve(
@@ -136,73 +224,39 @@ def fpi_solve(
 ) -> SolveResult:
     """Fixed-point iteration until max|dv| < tolerance or the iteration cap.
 
-    Convergence is confirmed by a mandatory power-residual post-check;
-    non-convergence is reported in the result, not raised.
+    The tau = 1 case of :func:`fixed_point`, applying ``B^(-1)`` through the
+    LU of B.  Convergence is confirmed by a mandatory power-residual
+    post-check; non-convergence is reported in the result, not raised.
     """
     s = np.asarray(s, dtype=complex).ravel()
     mats = assemble_fpi(model, s)
-    if opts.initial_voltage is not None:
-        v = np.asarray(opts.initial_voltage, dtype=complex).ravel().copy()
-        if v.shape[0] != model.n_demand:
-            raise ValueError("initial voltage length mismatch")
-    else:
-        v = _flat_start(model)
-
-    if np.all(mats.a == 0):
-        # A = 0 makes the map constant: one application reaches the fixed
-        # point exactly (zero load, or a purely linear alpha_z/alpha_i load)
-        dv = np.abs(mats.w - v)
-        residual = power_residual(model, mats.w, s)
-        return SolveResult(
-            v=mats.w.copy(),
-            iterations=1,
-            converged=residual < opts.residual_tolerance,
-            residual=residual,
-            contraction_k=0.0 if opts.compute_contraction else None,
-            step_inf=np.array([dv.max()]),
-            step_l1=np.array([dv.sum()]),
-        )
-
-    step_inf: list[float] = []
-    step_l1: list[float] = []
+    run = fixed_point(
+        mats.lu.solve, -mats.a[:, None], mats.w[:, None],
+        start_voltage(model, opts), opts.tolerance, opts.max_iterations,
+    )
+    v = run.v[:, 0]
     diagnostic = None
-    step_met = False
-    n = 0
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        while n < opts.max_iterations:
-            small = np.abs(v) < ZERO_VOLTAGE_GUARD
-            if small.any():
-                v = np.where(small, ZERO_VOLTAGE_GUARD * (1.0 + 0.0j), v)
-                diagnostic = f"zero-voltage guard applied at iteration {n + 1}"
-            v_next = mats.apply_f(1.0 / np.conj(v)) + mats.w
-            n += 1
-            if not np.all(np.isfinite(v_next.view(float))):
-                diagnostic = f"diverged: non-finite iterate at iteration {n}"
-                v = v_next
-                break
-            dv = np.abs(v_next - v)
-            step_inf.append(float(dv.max()))
-            step_l1.append(float(dv.sum()))
-            v = v_next
-            if step_inf[-1] < opts.tolerance:
-                step_met = True
-                break
+    if run.non_finite[0]:
+        diagnostic = f"diverged: non-finite iterate at iteration {run.iterations}"
+    elif run.guarded_at:
+        diagnostic = f"zero-voltage guard applied at iteration {run.guarded_at}"
 
     with np.errstate(invalid="ignore", over="ignore"):
         residual = power_residual(model, v, s)
-    converged = step_met and residual < opts.residual_tolerance
+    converged = bool(run.first_converged[0]) and residual < opts.residual_tolerance
     k = None
     if opts.compute_contraction and np.all(np.isfinite(v.view(float))):
-        k = contraction_estimate(model, v, s)
+        # A = 0 makes the map constant, so it contracts with k = 0
+        k = contraction_estimate(model, v, s) if mats.a.any() else 0.0
     return SolveResult(
         v=v,
-        iterations=n,
+        iterations=run.iterations,
         converged=converged,
         residual=residual,
         contraction_k=k,
         diagnostic=diagnostic,
-        step_inf=np.array(step_inf),
-        step_l1=np.array(step_l1),
+        step_inf=np.array(run.step_inf),
+        step_l1=np.array(run.step_l1),
     )
 
 

@@ -207,10 +207,7 @@ def radial_check(branches, n_buses: int) -> bool:
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Immutable network: branches, slack, ZIP coefficients and admittance.
-
-    Safe to share read-only across concurrent solver workers.
-    """
+    """Immutable network: branches, slack, ZIP coefficients and admittance."""
 
     admittance: PartitionedAdmittance
     slack: SlackSpec = SlackSpec()

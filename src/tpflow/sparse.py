@@ -3,11 +3,12 @@
 The dense path's update ``V <- -Z_B (S / V)* + W`` with ``Z_B = Y_dd^(-1)``
 is applied here without forming the inverse: every iteration solves
 
-    Y_dd V_(n+1) = -(S* / V_(n)*) - Y_ds v_s
+    Y_dd X = -(S* / V_(n)*),    V_(n+1) = X + W
 
 for the whole bphi x tau right-hand side with one LU factorization of Y_dd,
-computed once per batch.  A zero-load entry contributes an exact zero to the
-right-hand side, so such nodes need no special handling.
+computed once per batch, where Y_dd W = -Y_ds v_s.  A zero-load entry
+contributes an exact zero to the right-hand side, so such nodes need no
+special handling.
 
 The factorization count is observable through :func:`factorization_count`
 so reuse (exactly one analysis+factorization per batch) can be asserted.
@@ -21,8 +22,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .dense import LoadMatrix, VoltageBatch, _safe_residuals
-from .fpi import SingularSystemError, SolveOptions, ZERO_VOLTAGE_GUARD
+from .dense import LoadMatrix, VoltageBatch, solve_columns
+from .fpi import SingularSystemError, SolveOptions
 from .network import NetworkModel
 
 __all__ = [
@@ -78,39 +79,9 @@ def batch_solve_sparse(
 ) -> VoltageBatch:
     """Iterate all columns jointly with a single reused LU of Y_dd.
 
-    Matches :func:`tpflow.dense.batch_solve_dense` column for column (same
-    update, same joint stop rule), applying ``Y_dd^(-1)`` through one sparse
-    factorization instead of a dense inverse.  Requires pure constant-power
-    loads; mixed ZIP models raise :class:`ValueError`.
+    Matches :func:`tpflow.dense.batch_solve_dense` column for column: the
+    same driver (:func:`tpflow.dense.solve_columns`, which states the stop
+    rule and the ZIP routing), applying ``Y_dd^(-1)`` through one sparse
+    factorization instead of a dense inverse.
     """
-    if not model.zip.is_constant_power:
-        raise ValueError("the sparse batch path supports constant-power loads only")
-    if loads.n_demand != model.n_demand:
-        raise ValueError(
-            f"load matrix has {loads.n_demand} rows, model has {model.n_demand}"
-        )
-    lu = factorize(model.admittance.y_dd)
-
-    neg_s_conj = -np.conj(loads.values)
-    src = model.source_injection()[:, None]
-    v = np.full(loads.values.shape, abs(model.slack.v_s) * (1.0 + 0.0j))
-    n = 0
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        while n < opts.max_iterations:
-            v = np.where(np.abs(v) < ZERO_VOLTAGE_GUARD,
-                         ZERO_VOLTAGE_GUARD * (1.0 + 0.0j), v)
-            v_next = lu.solve(neg_s_conj / np.conj(v) - src)
-            delta = np.abs(v_next - v).max(initial=0.0)
-            v = v_next
-            n += 1
-            if np.isfinite(delta) and delta < opts.tolerance:
-                break
-
-    residuals = _safe_residuals(model, v, loads.values)
-    converged = np.isfinite(residuals) & (residuals < opts.residual_tolerance)
-    return VoltageBatch(
-        values=np.ascontiguousarray(v),
-        iterations=n,
-        converged_mask=converged,
-        residuals=residuals,
-    )
+    return solve_columns(model, loads, opts, lambda y_dd: factorize(y_dd).solve)

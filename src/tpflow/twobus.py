@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fpi import SolveOptions, ZERO_VOLTAGE_GUARD
+from .fpi import SolveOptions, fixed_point
 from .network import Branch, NetworkModel, SlackSpec
 
 __all__ = [
@@ -365,25 +365,15 @@ def parabola_vertex_distance(coeffs: ParabolaCoeffs, n_angles: int = 2048) -> fl
 def _fpi_grid(
     sys: TwoBusSystem, v_start: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized scalar fixed-point map v <- v0 - z_s s* / v*."""
-    f = -sys.z_s * np.conj(sys.s_l)
-    w = complex(sys.v0)
-    v = v_start.astype(complex).copy()
-    iters = np.zeros(v.shape, dtype=np.int32)
-    done = np.zeros(v.shape, dtype=bool)
-    for k in range(1, max_iter + 1):
-        guard = np.abs(v) < ZERO_VOLTAGE_GUARD
-        if guard.any():
-            v = np.where(guard, ZERO_VOLTAGE_GUARD * (1.0 + 0.0j), v)
-        v_next = f / np.conj(v) + w
-        step = np.abs(v_next - v)
-        newly = ~done & (step < tol) & np.isfinite(step)
-        iters[newly] = k
-        done |= newly
-        v = v_next
-        if done.all():
-            break
-    return v, iters, done
+    """Scalar fixed-point map v <- v0 - z_s s* / v* from every start at once:
+    one 1 x N :func:`tpflow.fpi.fixed_point` run, one start per column."""
+    f = np.array([[-sys.z_s * np.conj(sys.s_l)]])
+    run = fixed_point(
+        lambda u: u, f, np.array([[complex(sys.v0)]]),
+        v_start.astype(complex).reshape(1, -1), tol, max_iter,
+    )
+    iters = run.first_converged.reshape(v_start.shape)
+    return run.v.reshape(v_start.shape), iters, iters > 0
 
 
 def _nr_grid(

@@ -206,27 +206,3 @@ class TestBenchAndFit:
         assert "fpi" in report and "nr" in report
         meta = json.loads((tmp_path / "rec.csv.meta.json").read_text())
         assert meta["failed_cells"] == 0
-
-
-class TestThreads:
-    def test_env_fallback(self, tmp_path, net_path, loads_path, monkeypatch):
-        monkeypatch.setenv("TPF_THREADS", "3")
-        out = tmp_path / "v.csv"
-        assert run([
-            "solve", "--network", net_path, "--loads", loads_path,
-            "--method", "dense", "--out", out,
-        ]) == 0
-
-    def test_flag_beats_env(self, tmp_path, net_path, loads_path, monkeypatch):
-        monkeypatch.setenv("TPF_THREADS", "not-a-number")
-        out = tmp_path / "v.csv"
-        # env is ignored when the flag is set explicitly
-        assert run([
-            "solve", "--network", net_path, "--loads", loads_path,
-            "--method", "dense", "--threads", 2, "--out", out,
-        ]) == 0
-        # without a flag the bad env value is a reported error
-        assert run([
-            "solve", "--network", net_path, "--loads", loads_path,
-            "--method", "dense", "--out", out,
-        ]) == 1

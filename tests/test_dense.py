@@ -110,24 +110,6 @@ class TestBatchSolve:
         out_p = batch_solve_dense(nine_bus_model, LoadMatrix(loads.values[:, perm]))
         assert np.array_equal(out_p.values, out.values[:, perm])
 
-    def test_worker_count_does_not_change_bits(self, nine_bus_model):
-        loads = feasible_batch(nine_bus_model, 97, seed=24)
-        ref = batch_solve_dense(nine_bus_model, loads, workers=1)
-        for workers in (2, 3, 8):
-            alt = batch_solve_dense(nine_bus_model, loads, workers=workers)
-            assert np.array_equal(alt.values, ref.values)
-            assert alt.iterations == ref.iterations
-
-    def test_workers_handle_diverging_column(self):
-        model = two_bus_model(1.0 + 0.5j)
-        cols = np.array([[0.05 + 0.02j, 3.0 + 2.0j, 0.18 + 0.11j, 0.01 + 0j]])
-        ref = batch_solve_dense(model, LoadMatrix(cols), workers=1)
-        alt = batch_solve_dense(model, LoadMatrix(cols), workers=3)
-        assert list(ref.converged_mask) == [True, False, True, True]
-        assert np.array_equal(ref.converged_mask, alt.converged_mask)
-        good = ref.converged_mask
-        assert np.array_equal(ref.values[:, good], alt.values[:, good])
-
     def test_two_bus_reference(self):
         out = batch_solve_dense(two_bus_model(0.1 + 0j), LoadMatrix([[0.1 + 0j]]))
         assert out.values[0, 0] == pytest.approx(V_HIGH, abs=1e-12)
@@ -136,7 +118,8 @@ class TestBatchSolve:
         with pytest.raises(ValueError, match="rows"):
             batch_solve_dense(nine_bus_model, LoadMatrix([[0.1 + 0j]]))
 
-    def test_mixed_zip_routed_per_case(self, nine_bus_model):
+    @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
+    def test_mixed_zip_routed_per_case(self, nine_bus_model, solver):
         b = nine_bus_model.n_demand
         model = NetworkModel(
             admittance=nine_bus_model.admittance,
@@ -148,11 +131,22 @@ class TestBatchSolve:
             branches=nine_bus_model.branches,
         )
         loads = feasible_batch(nine_bus_model, 5, seed=25)
-        out = batch_solve_dense(model, loads)
+        out = solver(model, loads)
         assert out.converged_mask.all()
         for j in range(loads.tau):
             single = fpi_solve(model, loads.values[:, j])
             assert np.array_equal(out.values[:, j], single.v)
+
+    @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
+    def test_start_at_solved_voltage_takes_one_iteration(self, nine_bus_model, solver):
+        s = feasible_batch(nine_bus_model, 1, seed=26).values
+        solved = fpi_solve(nine_bus_model, s[:, 0]).v
+        loads = LoadMatrix(np.repeat(s, 3, axis=1))
+        assert solver(nine_bus_model, loads).iterations > 1
+        out = solver(nine_bus_model, loads, SolveOptions(initial_voltage=solved))
+        assert out.converged_mask.all() and out.iterations == 1
+        with pytest.raises(ValueError, match="initial voltage length"):
+            solver(nine_bus_model, loads, SolveOptions(initial_voltage=solved[:3]))
 
     def test_zero_load_batch_single_iteration(self, nine_bus_model):
         loads = LoadMatrix(np.zeros((nine_bus_model.n_demand, 6), dtype=complex))

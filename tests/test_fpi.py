@@ -7,6 +7,7 @@ from tpflow.fpi import (
     SolveOptions,
     assemble_fpi,
     contraction_estimate,
+    fixed_point,
     fpi_solve,
     power_residual,
 )
@@ -120,6 +121,27 @@ class TestSolve:
             SolveOptions(tolerance=0.0)
         with pytest.raises(ValueError):
             SolveOptions(max_iterations=0)
+
+
+class TestFixedPoint:
+    def test_columns_recorded_and_nan_column_does_not_hold_run_open(self):
+        # two-bus map v <- v0 - z_s s* / v*: Z_B = z_s, a = -s*, w = v0
+        z_s, s, tol = 0.1, 0.1 + 0j, 1e-10
+        expected, v = 0, 1.0 + 0j
+        while True:
+            expected += 1
+            v_next = 1.0 - z_s * np.conj(s) / np.conj(v)
+            if abs(v_next - v) < tol:
+                break
+            v = v_next
+        starts = np.array([[V_HIGH, 1.0, np.nan]], dtype=complex)
+        run = fixed_point(lambda u: z_s * u, np.array([[-np.conj(s)]]),
+                          np.array([[1.0 + 0j]]), starts, tol, 100)
+        assert expected > 1
+        assert list(run.first_converged) == [1, expected, 0]
+        assert list(run.non_finite) == [False, False, True]
+        assert run.iterations == expected < 100
+        assert abs(run.v[0, 1] - V_HIGH) < 1e-12
 
 
 class TestResidual:

@@ -100,17 +100,3 @@ class TestBatchSolve:
         cols = np.array([[0.05 + 0.02j, 3.0 + 2.0j, 0.18 + 0.11j]])
         out = batch_solve_sparse(model, LoadMatrix(cols))
         assert list(out.converged_mask) == [True, False, True]
-
-    def test_zip_models_rejected(self, nine_bus_model):
-        from tpflow.network import NetworkModel, ZipCoefficients
-
-        b = nine_bus_model.n_demand
-        model = NetworkModel(
-            admittance=nine_bus_model.admittance,
-            slack=nine_bus_model.slack,
-            zip=ZipCoefficients(
-                alpha_z=np.ones(b), alpha_i=np.zeros(b), alpha_p=np.zeros(b)
-            ),
-        )
-        with pytest.raises(ValueError, match="constant-power"):
-            batch_solve_sparse(model, feasible_batch(nine_bus_model, 2, seed=35))
