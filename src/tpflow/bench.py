@@ -4,7 +4,8 @@ asymptotic complexity fit t = c * n^k.
 Each cell times one full solve, including per-method setup (matrix
 inversion, factorization, per-case assembly) but excluding file I/O and
 network generation.  The wall time recorded is the median of the timed
-repeats after one warmup run, on the monotonic clock.
+repeats, on the monotonic clock, after the warm-up runs: ``warmup`` of them
+and then more until two in a row agree (see ``_WARMUP_CAP``).
 """
 
 from __future__ import annotations
@@ -91,9 +92,15 @@ def solve_batch(method: str, model, loads: LoadMatrix,
     raise ValueError(f"unknown method {method!r}")
 
 
-def _solve_cell(method: str, model, loads: LoadMatrix, opts: SolveOptions) -> int:
-    """Run one method over the whole batch; returns the iteration count."""
-    return solve_batch(method, model, loads, opts).iterations
+def _timed_solve(method: str, model, loads: LoadMatrix,
+                 config: BenchConfig) -> tuple[float, int]:
+    """Run one method over the whole batch; returns seconds and iterations."""
+    t0 = time.perf_counter()
+    iterations = solve_batch(method, model, loads, config.options).iterations
+    dt = time.perf_counter() - t0
+    if dt > config.timeout:
+        raise TimeoutError(f"cell exceeded the {config.timeout:.0f}s timeout")
+    return dt, iterations
 
 
 def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
@@ -115,20 +122,36 @@ def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
     return records
 
 
+# A BLAS thread pool can stall the first solves of a process for several
+# times their settled duration, so a cell that warms up at all keeps warming
+# up until two consecutive runs agree within _WARMUP_AGREEMENT, at most
+# _WARMUP_CAP runs in all.
+_WARMUP_CAP = 10
+_WARMUP_AGREEMENT = 0.1
+
+
+def _warming_up(warm: list[float], warmup: int) -> bool:
+    """Whether another warm-up run is due after the ``warm`` timings."""
+    if len(warm) < warmup:
+        return True
+    if warmup == 0 or len(warm) >= _WARMUP_CAP:
+        return False
+    if len(warm) < 2:
+        return True
+    a, b = warm[-2:]
+    return abs(a - b) > _WARMUP_AGREEMENT * min(a, b)
+
+
 def _time_cell(method, model, loads, b_phi, tau, config) -> BenchRecord:
-    times = []
+    warm: list[float] = []
+    times: list[float] = []
     iterations = 0
     try:
-        for rep in range(config.warmup + config.repeats):
-            t0 = time.perf_counter()
-            iterations = _solve_cell(method, model, loads, config.options)
-            dt = time.perf_counter() - t0
-            if rep >= config.warmup:
-                times.append(dt)
-            if dt > config.timeout:
-                raise TimeoutError(
-                    f"cell exceeded the {config.timeout:.0f}s timeout"
-                )
+        while _warming_up(warm, config.warmup):
+            warm.append(_timed_solve(method, model, loads, config)[0])
+        for _ in range(config.repeats):
+            dt, iterations = _timed_solve(method, model, loads, config)
+            times.append(dt)
     except Exception as exc:  # per-cell failures must not stop the sweep
         return BenchRecord(
             method=method, b_phi=b_phi, tau=tau,

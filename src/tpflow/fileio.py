@@ -5,7 +5,8 @@ optional per-node ZIP triples; an optional ``admittance`` section carries
 coordinate triplets for Y_dd / Y_ds and overrides branch assembly (the route
 for polyphase or externally assembled systems).
 
-Loads and voltages are comma-delimited text with one row per case.  Numeric
+Loads and voltages are comma-delimited text with one row per case; a load
+table may hold blank lines and CRLF line ends but no comments.  Numeric
 output uses 17 significant digits so values round-trip exactly; identical
 inputs therefore produce byte-identical files.  Timing and other run
 metadata go to a separate JSON document.
@@ -13,7 +14,9 @@ metadata go to a separate JSON document.
 
 from __future__ import annotations
 
+import itertools
 import json
+import warnings
 from pathlib import Path
 from typing import Any
 
@@ -181,16 +184,74 @@ def _load_header(n_demand: int) -> list[str]:
     return cols
 
 
-def write_loads(path, loads: LoadMatrix) -> None:
-    b = loads.n_demand
+def _write_table(path, header: list[str], table: np.ndarray, fmt) -> None:
+    """A header line, then one comma-joined row of ``table`` per case.
+
+    ``%.17g`` prints a float exactly as ``_fmt`` does.  The open handle keeps
+    numpy from compressing a path that ends in ``.gz``.
+    """
     with open(path, "w") as fh:
-        fh.write(",".join(_load_header(b)) + "\n")
-        for j in range(loads.tau):
-            col = loads.values[:, j]
-            cells = []
-            for v in col:
-                cells += [_fmt(v.real), _fmt(v.imag)]
-            fh.write(",".join(cells) + "\n")
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(header),
+                   comments="")
+
+
+def write_loads(path, loads: LoadMatrix) -> None:
+    # a C-ordered complex tau x b array viewed as floats interleaves re, im
+    table = np.ascontiguousarray(loads.values.T).view(np.float64)
+    _write_table(path, _load_header(loads.n_demand), table, "%.17g")
+
+
+def _loadtxt(lines) -> np.ndarray:
+    """Comma-separated floats, one row per line; no lines give zero rows.
+
+    ``comments=None`` makes a '#' line data, and so an error, as it always
+    was; the caller reports an empty table itself.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _data_lines(path):
+    """Physical line number and text of each non-blank line after the header.
+
+    These are the lines ``read_loads`` hands to ``np.loadtxt``, whose own row
+    numbers skip blank lines, so the error paths rescan the file with this.
+    """
+    with open(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            if not line.isspace():
+                yield lineno, line
+
+
+def _parses(text: str) -> bool:
+    """Whether ``np.loadtxt`` reads ``text``, a line or one field, as numbers."""
+    try:
+        return _loadtxt([text]).size > 0
+    except ValueError:
+        return False
+
+
+def _bad_line(path, names: list[str], reason: object) -> FileFormatError:
+    """Name the first line and field of a load table that loadtxt rejected;
+    ``reason`` stands in should no single line be at fault."""
+    for lineno, line in _data_lines(path):
+        fields = line.split(",")
+        if len(fields) != len(names):
+            return FileFormatError(
+                f"{path}: line {lineno}: expected {len(names)} fields, "
+                f"got {len(fields)}"
+            )
+        if not _parses(line):
+            for name, field in zip(names, fields):
+                if not _parses(field):
+                    return FileFormatError(
+                        f"{path}: line {lineno}: {name}: could not convert "
+                        f"string to float: {field.strip()!r}"
+                    )
+    return FileFormatError(f"{path}: {reason}")
 
 
 def read_loads(path) -> LoadMatrix:
@@ -212,31 +273,21 @@ def read_loads(path) -> LoadMatrix:
                 f"{path}: header {names[:4]}... does not match the expected "
                 f"p_1,q_1,...,p_{b},q_{b} layout"
             )
-        rows = []
-        linenos = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2 * b:
-                raise FileFormatError(
-                    f"{path}: line {lineno}: expected {2 * b} fields, "
-                    f"got {len(parts)}"
-                )
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
-            linenos.append(lineno)
-    if not rows:
+        try:
+            arr = _loadtxt(line for line in fh if not line.isspace())
+        except ValueError as exc:
+            raise _bad_line(path, names, exc) from exc
+    if arr.shape[0] == 0:
         raise FileFormatError(f"{path}: no load cases")
-    arr = np.asarray(rows)
+    if arr.shape[1] != 2 * b:
+        # loadtxt takes the field count from the first row
+        raise _bad_line(path, names, f"{arr.shape[1]} fields per row")
     finite = np.isfinite(arr)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
+        lineno, _ = next(itertools.islice(_data_lines(path), row, None))
         raise FileFormatError(
-            f"{path}: line {linenos[row]}: non-finite {names[col]} = {arr[row, col]}"
+            f"{path}: line {lineno}: non-finite {names[col]} = {arr[row, col]}"
         )
     values = (arr[:, 0::2] + 1j * arr[:, 1::2]).T
     return LoadMatrix(values=values, dims=(values.shape[1],))
@@ -245,20 +296,15 @@ def read_loads(path) -> LoadMatrix:
 def write_voltages(path, batch: VoltageBatch) -> None:
     """One row per case: vm_<node>,va_<node> pairs plus a converged flag."""
     b = batch.values.shape[0]
-    vm = np.abs(batch.values)
-    va = np.angle(batch.values)
+    table = np.empty((batch.tau, 2 * b + 1))
+    table[:, 0:-1:2] = np.abs(batch.values).T
+    table[:, 1:-1:2] = np.angle(batch.values).T
+    table[:, -1] = batch.converged_mask
     cols = []
     for node in range(1, b + 1):
         cols += [f"vm_{node}", f"va_{node}"]
     cols.append("converged")
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for j in range(batch.tau):
-            cells = []
-            for i in range(b):
-                cells += [_fmt(vm[i, j]), _fmt(va[i, j])]
-            cells.append("1" if batch.converged_mask[j] else "0")
-            fh.write(",".join(cells) + "\n")
+    _write_table(path, cols, table, ["%.17g"] * (2 * b) + ["%d"])
 
 
 def write_metadata(path, meta: dict) -> None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tpflow import bench
 from tpflow.bench import (
     BenchConfig,
     BenchRecord,
@@ -47,6 +48,24 @@ class TestRunBenchmark:
         rec = run_benchmark(config)[0]
         assert rec.repeats == 3
         assert rec.wall_seconds > 0
+
+    @pytest.mark.parametrize("warmup, timings, n_warm", [
+        (0, [1.0, 2.0, 3.0, 9.0], 0),            # no warm-up asked, none run
+        (1, [9.0, 5.0, 5.2, 1.0, 2.0, 3.0], 3),  # 5.0 and 5.2 agree within 10%
+        (1, [1.0, 9.0] * 5 + [1.0, 2.0, 3.0], 10),  # never agree: the cap
+        (3, [5.0, 5.0, 5.0, 1.0, 2.0, 3.0], 3),  # agreed before the minimum
+    ])
+    def test_warmup_until_two_runs_agree(self, monkeypatch, warmup, timings,
+                                         n_warm):
+        script = iter(timings)
+        monkeypatch.setattr(bench, "_timed_solve",
+                            lambda *args: (next(script), 7))
+        config = BenchConfig(methods=("dense",), sizes=(9,), taus=(1,),
+                             repeats=3, warmup=warmup)
+        rec = run_benchmark(config)[0]
+        assert rec.ok and rec.repeats == 3 and rec.iterations == 7
+        assert rec.wall_seconds == timings[n_warm + 1]
+        assert list(script) == timings[n_warm + 3:]
 
     def test_failures_are_recorded_not_raised(self):
         # a 1-microsecond timeout fails every cell but the run completes

@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from tpflow.bench import BenchRecord
-from tpflow.dense import batch_solve_dense
+from tpflow.dense import LoadMatrix, VoltageBatch, batch_solve_dense
 from tpflow.fileio import (
     FileFormatError,
     read_bench_records,
@@ -155,6 +156,38 @@ class TestLoadFiles:
         with pytest.raises(FileFormatError, match="empty"):
             read_loads(path)
 
+    def test_short_first_row_names_line_2(self, tmp_path):
+        path = tmp_path / "loads.csv"
+        path.write_text("p_1,q_1,p_2,q_2\n0.1,0.0\n0.2,0.1\n")
+        with pytest.raises(FileFormatError, match="line 2: expected 4 fields, got 2"):
+            read_loads(path)
+
+    def test_comment_line_rejected(self, tmp_path):
+        path = tmp_path / "loads.csv"
+        path.write_text("p_1,q_1\n0.1,0.0\n# a note\n0.2,0.1\n")
+        with pytest.raises(FileFormatError, match="line 3"):
+            read_loads(path)
+
+    def test_header_only_file_has_no_cases(self, tmp_path):
+        path = tmp_path / "loads.csv"
+        path.write_text("p_1,q_1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FileFormatError, match="no load cases"):
+                read_loads(path)
+
+    def test_crlf_reads_as_lf(self, tmp_path):
+        text = "p_1,q_1\n0.1,-0.25\n\n0.3,0.4\n"
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes(text.encode())
+        crlf.write_bytes(text.replace("\n", "\r\n").encode())
+        assert np.array_equal(read_loads(crlf).values, read_loads(lf).values)
+
+    def test_whitespace_only_line_skipped(self, tmp_path):
+        path = tmp_path / "loads.csv"
+        path.write_text("p_1,q_1\n0.1,0.0\n  \t\n0.2,0.1\n")
+        assert np.array_equal(read_loads(path).values, [[0.1 + 0.0j, 0.2 + 0.1j]])
+
 
 class TestVoltageFiles:
     def test_layout_and_flags(self, tmp_path, model):
@@ -171,6 +204,49 @@ class TestVoltageFiles:
         assert row[-1] == "1"
         vm = float(row[0])
         assert vm == pytest.approx(abs(batch.values[0, 0]))
+
+
+def _cells(*xs) -> list[str]:
+    return [f"{x:.17g}" for x in xs]
+
+
+class TestByteFormat:
+    """Writers against a reference built one cell at a time."""
+
+    # 0.1 + 0.2 needs all 17 digits; complex(1, -0.0) has angle -0.0
+    VALUES = np.array([[complex(0.1 + 0.2, 0.0), complex(1.0, -0.0)],
+                       [complex(-0.5, 0.25), complex(0.0, -1e-300)]])
+
+    def test_voltage_bytes(self, tmp_path):
+        batch = VoltageBatch(values=self.VALUES, iterations=3,
+                             converged_mask=np.array([True, False]),
+                             residuals=np.zeros(2))
+        lines = ["vm_1,va_1,vm_2,va_2,converged"]
+        for j in range(batch.tau):
+            cells = []
+            for v in batch.values[:, j]:
+                cells += _cells(np.abs(v), np.angle(v))
+            cells.append("1" if batch.converged_mask[j] else "0")
+            lines.append(",".join(cells))
+        expected = "\n".join(lines) + "\n"
+        assert "0.30000000000000004," in expected and ",-0," in expected
+        path = tmp_path / "volts.csv"
+        write_voltages(path, batch)
+        assert path.read_bytes() == expected.encode()
+
+    def test_load_bytes(self, tmp_path):
+        loads = LoadMatrix(self.VALUES)
+        lines = ["p_1,q_1,p_2,q_2"]
+        for j in range(loads.tau):
+            cells = []
+            for v in loads.values[:, j]:
+                cells += _cells(v.real, v.imag)
+            lines.append(",".join(cells))
+        expected = "\n".join(lines) + "\n"
+        assert "0.30000000000000004," in expected and ",-0," in expected
+        path = tmp_path / "loads.csv"
+        write_loads(path, loads)
+        assert path.read_bytes() == expected.encode()
 
 
 class TestBenchRecordFiles:
