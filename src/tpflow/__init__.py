@@ -3,30 +3,23 @@
 Single-case, dense-tensor and sparse-tensor solvers over a shared network
 model, a Newton-Raphson cross-check, a two-bus solvability lab, synthetic
 network/scenario generators and a benchmark harness with complexity fitting.
+
+The names here are the ones a user calls; return types and plumbing
+(``VoltageBatch``, ``FpiMatrices``, ``factorize`` and the like) stay
+importable from their modules.
 """
 
-from .bench import (
-    BenchConfig,
-    BenchRecord,
-    ComplexityFit,
-    fit_complexity,
-    run_benchmark,
-    solve_batch,
-)
+from .bench import BenchConfig, fit_complexity, run_benchmark, solve_batch
 from .dense import (
     LoadMatrix,
     PowerTensor,
-    VoltageBatch,
     batch_solve_dense,
     reshape_tensor,
     unreshape,
 )
 from .fpi import (
-    FpiMatrices,
     SingularSystemError,
     SolveOptions,
-    SolveResult,
-    assemble_fpi,
     contraction_estimate,
     fpi_solve,
     power_residual,
@@ -35,20 +28,14 @@ from .network import (
     Branch,
     NetworkError,
     NetworkModel,
-    PartitionedAdmittance,
     SlackSpec,
     ZipCoefficients,
-    build_admittance,
-    radial_check,
     validate,
 )
 from .newton import nr_iteration_count, nr_solve
-from .sparse import batch_solve_sparse, factorization_count, factorize
-from .synth import GenSpec, assign_impedances, build_network, gen_kary_tree, gen_scenarios
+from .sparse import batch_solve_sparse
+from .synth import GenSpec, build_network, gen_scenarios
 from .twobus import (
-    BasinMap,
-    CirclePair,
-    ParabolaCoeffs,
     TwoBusSystem,
     basin_scan,
     closed_form_solutions,
@@ -65,35 +52,23 @@ __all__ = [
     "Branch",
     "NetworkError",
     "NetworkModel",
-    "PartitionedAdmittance",
     "SlackSpec",
     "ZipCoefficients",
-    "build_admittance",
-    "radial_check",
     "validate",
-    "FpiMatrices",
     "SingularSystemError",
     "SolveOptions",
-    "SolveResult",
-    "assemble_fpi",
     "fpi_solve",
     "power_residual",
     "contraction_estimate",
     "PowerTensor",
     "LoadMatrix",
-    "VoltageBatch",
     "reshape_tensor",
     "unreshape",
     "batch_solve_dense",
     "batch_solve_sparse",
-    "factorize",
-    "factorization_count",
     "nr_solve",
     "nr_iteration_count",
     "TwoBusSystem",
-    "CirclePair",
-    "ParabolaCoeffs",
-    "BasinMap",
     "closed_form_solutions",
     "load_circles",
     "radical_intercept",
@@ -102,14 +77,10 @@ __all__ = [
     "norm_feasible",
     "basin_scan",
     "BenchConfig",
-    "BenchRecord",
-    "ComplexityFit",
     "run_benchmark",
     "fit_complexity",
     "solve_batch",
     "GenSpec",
-    "gen_kary_tree",
-    "assign_impedances",
     "gen_scenarios",
     "build_network",
     "__version__",

@@ -120,12 +120,11 @@ def _cmd_twobus_basin(args) -> int:
     sys_ = twobus.TwoBusSystem(
         z_s=complex(args.rs, args.xs), v0=args.v0, s_l=complex(args.p, args.q)
     )
-    opts = SolveOptions(tolerance=args.tol, max_iterations=args.max_iter)
     basin = twobus.basin_scan(
         sys_, method=args.method,
         re_range=(args.re_min, args.re_max),
         im_range=(args.im_min, args.im_max),
-        resolution=args.resolution, opts=opts,
+        resolution=args.resolution, opts=_options(args),
     )
     with open(args.out, "w") as fh:
         fh.write("re,im,class,iters\n")
@@ -263,9 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_basin.add_argument("--im-min", type=float, default=-2.0)
     p_basin.add_argument("--im-max", type=float, default=2.0)
     p_basin.add_argument("--resolution", type=int, default=200)
-    p_basin.add_argument("--tol", type=float, default=1e-10)
-    p_basin.add_argument("--max-iter", type=int, default=100)
     p_basin.add_argument("--out", required=True)
+    _add_solver_flags(p_basin)
     p_basin.set_defaults(func=_cmd_twobus_basin)
 
     p_bench = sub.add_parser("bench", help="time methods over sizes and taus")

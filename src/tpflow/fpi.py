@@ -21,6 +21,7 @@ batches and the two-bus basin scan) runs the same update through
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ __all__ = [
     "SolveResult",
     "FpiMatrices",
     "SingularSystemError",
+    "factorize",
+    "factorization_count",
     "assemble_fpi",
     "fpi_solve",
     "power_residual",
@@ -47,6 +50,50 @@ ZERO_VOLTAGE_GUARD = 1e-12
 
 class SingularSystemError(RuntimeError):
     """Raised when the constant iteration matrix B cannot be factorized."""
+
+
+_factorizations = 0
+_counter_lock = threading.Lock()
+
+
+def factorization_count() -> int:
+    """Monotone count of :func:`factorize` calls that succeeded."""
+    return _factorizations
+
+
+def factorize(matrix):
+    """Fill-reducing ordering, symbolic analysis and numeric factorization.
+
+    The package's one sparse LU apart from Newton's Jacobian:
+    :func:`assemble_fpi`, the sparse batch path, :func:`tpflow.network.validate`
+    and the Thevenin read-off in :mod:`tpflow.synth` all call it.
+    ``matrix`` is a square scipy sparse matrix, converted to complex CSC
+    unless it already is.  Returns scipy's ``SuperLU`` object, whose
+    ``solve`` accepts one or many right-hand sides.  Singular input raises
+    :class:`SingularSystemError` naming structurally empty rows/columns when
+    those are the cause.
+    """
+    global _factorizations
+    m = matrix.tocsc().astype(complex, copy=False)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError("factorize requires a square matrix")
+    try:
+        lu = splu(m)
+    except RuntimeError as exc:
+        empty_rows = np.where(np.diff(m.tocsr().indptr) == 0)[0]
+        empty_cols = np.where(np.diff(m.indptr) == 0)[0]
+        where = []
+        if empty_rows.size:
+            where.append(f"empty rows {empty_rows[:8].tolist()}")
+        if empty_cols.size:
+            where.append(f"empty columns {empty_cols[:8].tolist()}")
+        detail = f" ({'; '.join(where)})" if where else ""
+        raise SingularSystemError(
+            f"sparse factorization failed: {exc}{detail}"
+        ) from exc
+    with _counter_lock:
+        _factorizations += 1
+    return lu
 
 
 @dataclass(frozen=True)
@@ -100,11 +147,6 @@ class FpiMatrices:
         return -self.lu.solve(np.diag(self.a).astype(complex))
 
 
-def _find_empty_rows(m: sparse.csc_matrix) -> list[int]:
-    csr = m.tocsr()
-    return [int(i) for i in np.where(np.diff(csr.indptr) == 0)[0]]
-
-
 def assemble_fpi(model: NetworkModel, s: np.ndarray) -> FpiMatrices:
     """Build A, B, c, F, w for demand powers ``s`` (consumption positive)."""
     s = np.asarray(s, dtype=complex).ravel()
@@ -114,16 +156,9 @@ def assemble_fpi(model: NetworkModel, s: np.ndarray) -> FpiMatrices:
     zc = model.zip
     sc = np.conj(s)
     a = zc.alpha_p * sc
-    B = (sparse.diags(zc.alpha_z * sc) + model.admittance.y_dd).tocsc()
+    B = sparse.diags(zc.alpha_z * sc) + model.admittance.y_dd
     c = model.source_injection() + zc.alpha_i * sc
-    try:
-        lu = splu(B)
-    except RuntimeError as exc:
-        empty = _find_empty_rows(B)
-        detail = f"; structurally empty rows {empty}" if empty else ""
-        raise SingularSystemError(
-            f"iteration matrix B is singular: {exc}{detail}"
-        ) from exc
+    lu = factorize(B)
     w = -lu.solve(c.astype(complex))
     return FpiMatrices(a=a, B=B, c=c, w=w, lu=lu)
 
@@ -131,7 +166,7 @@ def assemble_fpi(model: NetworkModel, s: np.ndarray) -> FpiMatrices:
 def start_voltage(
     model: NetworkModel, opts: SolveOptions, tau: int = 1
 ) -> np.ndarray:
-    """First iterate, b x tau in Fortran order.
+    """First iterate, b x tau in Fortran order; every solver starts here.
 
     Every column is ``opts.initial_voltage`` when given, else the flat start
     |v_s|.  A start of the wrong length raises :class:`ValueError`.
@@ -263,13 +298,15 @@ def fpi_solve(
 def zip_power(model: NetworkModel, v: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Power drawn by the ZIP load at voltage ``v``.
 
-    The constant-current fraction holds the current phasor at its nominal
-    value, so its power term scales with complex v (not |v|).
+    ``v`` and ``s`` are b-vectors or b x tau arrays; the per-node alphas
+    broadcast over any trailing case axis.  The constant-current fraction
+    holds the current phasor at its nominal value, so its power term scales
+    with complex v (not |v|).
     """
     zc = model.zip
-    return (
-        zc.alpha_z * s * np.abs(v) ** 2 + zc.alpha_i * s * v + zc.alpha_p * s
-    )
+    shape = (-1,) + (1,) * (np.ndim(v) - 1)
+    az, ai, ap = (a.reshape(shape) for a in (zc.alpha_z, zc.alpha_i, zc.alpha_p))
+    return az * s * np.abs(v) ** 2 + ai * s * v + ap * s
 
 
 def residual_per_case(
@@ -281,17 +318,8 @@ def residual_per_case(
     src = model.source_injection()
     if v.ndim == 2:
         src = src[:, None]
-        zc = model.zip
-        s_load = (
-            zc.alpha_z[:, None] * s * np.abs(v) ** 2
-            + zc.alpha_i[:, None] * s * v
-            + zc.alpha_p[:, None] * s
-        )
-    else:
-        s_load = zip_power(model, v, s)
-    mismatch = s_load + v * np.conj(src + model.admittance.y_dd @ v)
-    out = np.abs(mismatch).max(axis=0)
-    return out
+    mismatch = zip_power(model, v, s) + v * np.conj(src + model.admittance.y_dd @ v)
+    return np.abs(mismatch).max(axis=0)
 
 
 def power_residual(model: NetworkModel, v: np.ndarray, s: np.ndarray) -> float:

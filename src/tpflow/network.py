@@ -98,34 +98,18 @@ class ZipCoefficients:
 
 @dataclass(frozen=True)
 class PartitionedAdmittance:
-    """Nodal admittance partitioned into slack (s) and demand (d) blocks.
+    """Demand-side blocks of the nodal admittance, stored sparse (CSC).
 
-    ``y_dd`` and ``y_ds`` are stored sparse (CSC).  ``y_ss``/``y_sd`` are kept
-    dense; they are None for models supplied directly as matrices, where only
-    the demand-side blocks are known.
+    ``y_dd`` couples the demand nodes; ``y_ds`` couples them to the slack.
+    The solvers need nothing else.
     """
 
     y_dd: sparse.csc_matrix
     y_ds: sparse.csc_matrix
-    y_ss: np.ndarray | None = None
-    y_sd: np.ndarray | None = None
 
     @property
     def n_demand(self) -> int:
         return self.y_dd.shape[0]
-
-    def full_matrix(self) -> np.ndarray:
-        """Reassemble the dense full admittance [[Y_ss, Y_sd], [Y_ds, Y_dd]]."""
-        if self.y_ss is None or self.y_sd is None:
-            raise NetworkError("slack-side admittance blocks are not available")
-        n_s = self.y_ss.shape[0]
-        n = n_s + self.n_demand
-        full = np.zeros((n, n), dtype=complex)
-        full[:n_s, :n_s] = self.y_ss
-        full[:n_s, n_s:] = self.y_sd
-        full[n_s:, :n_s] = self.y_ds.toarray()
-        full[n_s:, n_s:] = self.y_dd.toarray()
-        return full
 
 
 def _adjacency(branches: list[Branch] | tuple[Branch, ...], n_buses: int) -> list[list[int]]:
@@ -189,12 +173,7 @@ def build_admittance(branches: list[Branch] | tuple[Branch, ...], n_buses: int) 
         cols += [j, i, i, j]
         vals += [-y, -y, y + h, y + h]
     full = sparse.coo_matrix((vals, (rows, cols)), shape=(n_buses, n_buses)).tocsc()
-
-    y_ss = full[:1, :1].toarray()
-    y_sd = full[:1, 1:].toarray()
-    y_ds = full[1:, :1].tocsc()
-    y_dd = full[1:, 1:].tocsc()
-    return PartitionedAdmittance(y_dd=y_dd, y_ds=y_ds, y_ss=y_ss, y_sd=y_sd)
+    return PartitionedAdmittance(y_dd=full[1:, 1:].tocsc(), y_ds=full[1:, :1].tocsc())
 
 
 def radial_check(branches, n_buses: int) -> bool:
@@ -274,40 +253,33 @@ class NetworkModel:
 def validate(model: NetworkModel) -> list[str]:
     """Run structural diagnostics; returns an empty list for a healthy model.
 
-    Checks connectivity (when branches are known), admittance symmetry and
-    Y_dd factorizability.  Diagnostics are reports, not exceptions.
+    One path for branch-built and matrix-supplied models: every connected
+    component of the Y_dd pattern must hold a node with a nonzero Y_ds entry
+    (an unfed component is reported by its 0-based demand nodes), Y_dd must
+    be symmetric and it must factorize.  Diagnostics are reports, not
+    exceptions.
     """
-    from scipy.sparse.linalg import splu
+    from scipy.sparse.csgraph import connected_components
+
+    from .fpi import SingularSystemError, factorize
 
     diags: list[str] = []
     adm = model.admittance
+    n_comp, labels = connected_components(adm.y_dd != 0, directed=False)
+    fed = np.zeros(n_comp, dtype=bool)
+    fed[labels[adm.y_ds.nonzero()[0]]] = True
+    for comp in np.flatnonzero(~fed):
+        nodes = np.flatnonzero(labels == comp).tolist()
+        diags.append(f"disconnected component: demand nodes {nodes}")
 
-    if model.branches:
-        n_buses = model.n_demand + 1
-        ok, missing = _connected(model.branches, n_buses)
-        if not ok:
-            diags.append(f"disconnected component: buses {missing}")
-    else:
-        # matrix-supplied model: a demand node coupled to nothing has an
-        # all-zero row across both demand-side blocks
-        coupling = np.abs(adm.y_dd).sum(axis=1) + np.abs(adm.y_ds).sum(axis=1)
-        isolated = np.where(np.asarray(coupling).ravel() == 0)[0]
-        if isolated.size:
-            diags.append(
-                f"disconnected component: demand nodes {isolated.tolist()}"
-            )
-
-    if adm.y_ss is not None and adm.y_sd is not None:
-        full = adm.full_matrix()
-        defect = float(np.max(np.abs(full - full.T)))
-    else:
-        y_dd = adm.y_dd.toarray()
-        defect = float(np.max(np.abs(y_dd - y_dd.T)))
+    defect = float(abs(adm.y_dd - adm.y_dd.T).max())
     if defect > 1e-9:
-        diags.append(f"admittance symmetry defect: max|Y - Y^T| = {defect:.6e}")
+        diags.append(
+            f"admittance symmetry defect: max|Y_dd - Y_dd^T| = {defect:.6e}"
+        )
 
     try:
-        splu(adm.y_dd.tocsc())
-    except RuntimeError as exc:
-        diags.append(f"Y_dd factorization failed: {exc}")
+        factorize(adm.y_dd)
+    except SingularSystemError as exc:
+        diags.append(f"Y_dd {exc}")
     return diags

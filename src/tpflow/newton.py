@@ -12,7 +12,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .fpi import SolveOptions, SolveResult, power_residual, zip_power
+from .fpi import SolveOptions, SolveResult, power_residual, start_voltage, zip_power
 from .network import NetworkModel
 
 __all__ = ["nr_solve", "nr_iteration_count"]
@@ -47,19 +47,13 @@ def nr_solve(
     y_dd = model.admittance.y_dd
     src = model.source_injection()
 
-    if opts.initial_voltage is not None:
-        v0 = np.asarray(opts.initial_voltage, dtype=complex).ravel()
-        vm = np.abs(v0).astype(float)
-        va = np.angle(v0)
-    else:
-        vm = np.full(b, abs(model.slack.v_s))
-        va = np.zeros(b)
+    v = start_voltage(model, opts)[:, 0]
+    vm, va = np.abs(v), np.angle(v)
 
     diagnostic = None
     converged = False
     history: list[float] = []
     it = 0
-    v = vm * np.exp(1j * va)
     for it in range(opts.max_iterations + 1):
         v = vm * np.exp(1j * va)
         i_d = src + y_dd @ v

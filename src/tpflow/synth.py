@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import LoadMatrix
+from .fpi import factorize
 from .network import Branch, NetworkModel, radial_check
 
 __all__ = ["GenSpec", "gen_kary_tree", "assign_impedances", "gen_scenarios",
@@ -120,11 +121,7 @@ def _max_thevenin(model: NetworkModel) -> float:
                     z_path[v] = z_path[u] + z
                     stack.append(v)
         return float(np.abs(z_path[1:]).max())
-    from scipy.sparse.linalg import splu
-
-    zb = splu(model.admittance.y_dd.tocsc()).solve(
-        np.eye(model.n_demand, dtype=complex)
-    )
+    zb = factorize(model.admittance.y_dd).solve(np.eye(model.n_demand, dtype=complex))
     return float(np.abs(np.diag(zb)).max())
 
 

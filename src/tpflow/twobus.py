@@ -280,31 +280,19 @@ def feasibility_parabola(r_s: float, x_s: float, v0: float = 1.0) -> ParabolaCoe
     )
 
 
-def parabola_locus(
-    coeffs: ParabolaCoeffs, n_points: int = 720, angles: np.ndarray | None = None
-) -> np.ndarray:
+def parabola_locus(coeffs: ParabolaCoeffs, n_points: int = 720) -> np.ndarray:
     """Sample the curve f(p, q) = 0 as rays from the origin.
 
     Along the ray (p, q) = rho (cos t, sin t) the curve is quadratic in rho;
-    the smallest positive root per angle traces the near branch.  Returns an
-    array of rows (p, q, rho); angles with no positive root are omitted.
+    the smallest positive root per angle (:func:`_ray_distance`) traces the
+    near branch.  Returns an array of rows (p, q, rho); angles with no
+    positive root are omitted.
     """
-    if angles is None:
-        angles = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    ct, st = np.cos(angles), np.sin(angles)
-    a2 = coeffs.G * st * st + coeffs.H * ct * st + coeffs.I * ct * ct
-    a1 = coeffs.J * st + coeffs.K * ct
-    a0 = coeffs.L
-    rows = []
-    for c2, c1, t_c, t_s in zip(a2, a1, ct, st):
-        roots = np.roots([c2, c1, a0]) if abs(c2) > 1e-300 else (
-            np.array([-a0 / c1]) if c1 != 0 else np.array([])
-        )
-        pos = [r.real for r in roots if abs(r.imag) < 1e-9 and r.real > 0]
-        if pos:
-            rho = min(pos)
-            rows.append((rho * t_c, rho * t_s, rho))
-    return np.array(rows)
+    angles = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
+    rho = _ray_distance(coeffs, angles)
+    keep = np.isfinite(rho)
+    rho, t = rho[keep], angles[keep]
+    return np.column_stack([rho * np.cos(t), rho * np.sin(t), rho])
 
 
 def norm_feasible(s_l: complex, z_s: complex, v0: float = 1.0) -> bool:

@@ -10,6 +10,7 @@ from tpflow.fpi import (
     fixed_point,
     fpi_solve,
     power_residual,
+    residual_per_case,
 )
 from tpflow.network import NetworkModel, ZipCoefficients
 
@@ -159,6 +160,23 @@ class TestResidual:
         assert power_residual(nine_bus_model, flat, s) == pytest.approx(
             np.abs(s).max(), rel=1e-12
         )
+
+    def test_batch_residual_matches_single_case_for_zip_loads(self, nine_bus_model):
+        # one ZIP law serves both shapes: each column of a b x tau residual
+        # equals the residual of that case alone
+        b = nine_bus_model.n_demand
+        rng = np.random.default_rng(4)
+        mix = rng.dirichlet(np.ones(3), size=b).T
+        model = NetworkModel(
+            admittance=nine_bus_model.admittance,
+            zip=ZipCoefficients(alpha_z=mix[0], alpha_i=mix[1], alpha_p=mix[2]),
+        )
+        loads = feasible_batch(nine_bus_model, 5, seed=5).values
+        v = 1.0 + 0.01 * (rng.standard_normal(loads.shape)
+                          + 1j * rng.standard_normal(loads.shape))
+        batch = residual_per_case(model, v, loads)
+        single = [power_residual(model, v[:, j], loads[:, j]) for j in range(5)]
+        assert np.array_equal(batch, single)
 
     def test_converged_runs_pass_post_check(self, nine_bus_model):
         loads = feasible_batch(nine_bus_model, 20, seed=2)

@@ -60,23 +60,14 @@ def test_assembly_matches_stamp_oracle(seed):
     ]
     adm = build_admittance(branches, n)
     oracle = dense_stamp_oracle(branches, n)
-    assert np.abs(adm.full_matrix() - oracle).max() < 1e-12
+    assert np.abs(adm.y_dd.toarray() - oracle[1:, 1:]).max() < 1e-12
+    assert np.abs(adm.y_ds.toarray() - oracle[1:, :1]).max() < 1e-12
 
 
-def test_partition_consistency():
-    branches = gen_kary_tree(GenSpec(n_buses=7, seed=5))
-    adm = build_admittance(branches, 7)
-    full = adm.full_matrix()
-    assert np.array_equal(full[:1, :1], adm.y_ss)
-    assert np.array_equal(full[:1, 1:], adm.y_sd)
-    assert np.array_equal(full[1:, :1], adm.y_ds.toarray())
-    assert np.array_equal(full[1:, 1:], adm.y_dd.toarray())
-
-
-def test_full_matrix_symmetric_for_reciprocal_branches():
+def test_y_dd_symmetric_for_reciprocal_branches():
     branches = gen_kary_tree(GenSpec(n_buses=15, seed=11))
-    full = build_admittance(branches, 15).full_matrix()
-    assert np.abs(full - full.T).max() == 0.0
+    y_dd = build_admittance(branches, 15).y_dd.toarray()
+    assert np.abs(y_dd - y_dd.T).max() == 0.0
 
 
 def test_disconnected_graph_rejected():
@@ -107,8 +98,24 @@ def test_validate_reports_isolated_node():
         y_dd=[[10.0, 0.0], [0.0, 0.0]], y_ds=[[-10.0], [0.0]]
     )
     diags = validate(model)
-    assert any("disconnected component" in d for d in diags)
+    assert "disconnected component: demand nodes [1]" in diags
     assert any("factorization failed" in d for d in diags)
+
+
+def test_validate_reports_multi_node_island():
+    # node 0 is fed, node 1 hangs off node 0; nodes 2-3 are coupled only to
+    # each other, each with a shunt, so Y_dd factorizes but the island has
+    # no path to the slack
+    y = 10.0
+    y_dd = np.array([
+        [2 * y, -y, 0, 0],
+        [-y, y, 0, 0],
+        [0, 0, y + 0.1j, -y],
+        [0, 0, -y, y + 0.1j],
+    ], dtype=complex)
+    y_ds = np.array([[-y], [0], [0], [0]], dtype=complex)
+    model = NetworkModel.from_admittance(y_dd=y_dd, y_ds=y_ds)
+    assert validate(model) == ["disconnected component: demand nodes [2, 3]"]
 
 
 def test_validate_reports_symmetry_defect():

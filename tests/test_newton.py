@@ -91,6 +91,14 @@ def test_initial_voltage_respected():
     assert abs(res.v[0] - (1 - np.sqrt(0.96)) / 2) < 1e-9
 
 
+@pytest.mark.parametrize("solver", [fpi_solve, nr_solve])
+def test_initial_voltage_length_mismatch_rejected(solver, nine_bus_model):
+    s = feasible_batch(nine_bus_model, 1, seed=3).values[:, 0]
+    short = SolveOptions(initial_voltage=np.ones(3, dtype=complex))
+    with pytest.raises(ValueError, match="initial voltage length mismatch"):
+        solver(nine_bus_model, s, short)
+
+
 def test_zip_loads_supported(nine_bus_model):
     from tpflow.network import ZipCoefficients
 
