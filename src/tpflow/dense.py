@@ -1,14 +1,17 @@
 """Batched fixed-point power flow as dense matrix-matrix iterations.
 
-All load cases are stacked as columns of a bphi x tau matrix and updated
+Load cases are stacked as columns of a bphi x tau matrix and updated
 jointly:
 
-    V <- -Z_B (S / V)* + W
+    V <- -Z_B (alpha_p . S* / V*) + W,   W = -Z_B (Y_ds v_s + alpha_i . S*)
 
-with Z_B = Y_dd^(-1) materialized once (dense) and W the no-load voltage
-broadcast across columns.  One GEMM per iteration does the work of tau
-independent solves.  The batch driver shared with the sparse path, and the
-per-case loop it falls back to for mixed ZIP loads, live here too.
+with Z_B = Y_dd^(-1) materialized once (dense); W is the no-load voltage
+broadcast across columns when there is no constant-current share.  One GEMM
+per iteration does the work of many independent solves.  The batch driver
+shared with the sparse path lives here too: it walks the columns in chunks
+of a fixed byte budget, so scratch memory does not grow with tau, and sends
+models with a constant-impedance share (``alpha_z != 0``, a different B per
+case) through the per-case loop.
 """
 
 from __future__ import annotations
@@ -124,6 +127,11 @@ def unreshape(loads: LoadMatrix) -> PowerTensor:
     return PowerTensor(values=loads.values.T.reshape(*loads.dims, bphi))
 
 
+# bytes of one b x width complex chunk; the batch driver walks columns by it
+# 256 KiB: stalled-dense 0.15 s, 512 KiB 0.21, 1 MiB 0.34 (2 cores, 1 BLAS thread)
+_CHUNK_BYTES = 256 * 1024
+
+
 def batch_solve_dense(
     model: NetworkModel,
     loads: LoadMatrix,
@@ -148,43 +156,70 @@ def solve_columns(
     """Batch driver shared by the dense and sparse paths.
 
     ``make_z(y_dd)`` returns the map applying ``Z_B = Y_dd^(-1)`` to a
-    b x tau array.  Pure constant-power loads run as one
-    :func:`tpflow.fpi.fixed_point` over all columns, started from
-    :func:`tpflow.fpi.start_voltage`; any other ZIP mix goes case by case
+    b x tau array; it is built once per batch.  With no constant-impedance
+    share (``alpha_z = 0``, so ``B = Y_dd`` for every case) the columns run
+    through :func:`tpflow.fpi.fixed_point` with ``a = -alpha_p . s*`` and
+    ``w = Z_B(-(Y_ds v_s + alpha_i . s*))``, the single-case solver's own
+    terms, started from :func:`tpflow.fpi.start_voltage`.  A model with some
+    ``alpha_z != 0`` has a different ``B`` per case and goes case by case
     through :func:`tpflow.fpi.fpi_solve`.
 
-    Stop rule: a column is done at the first iteration its max |dv| falls
-    under ``opts.tolerance``, and the batch stops once every column is done
-    or has gone non-finite, or at ``opts.max_iterations``.  When steps
-    shrink this is the joint max-norm rule, so ``iterations`` is the max of
-    the per-case counts; a non-finite column does not hold the batch open.
-    A case is converged when its step met the tolerance and its power
-    residual is under ``opts.residual_tolerance``.
+    The columns are walked in chunks of ``_CHUNK_BYTES // (16 b)`` cases,
+    which bounds the scratch memory and keeps the elementwise work
+    cache-resident; results are written into one C-ordered batch.
+
+    Stop rule, per chunk: a column is done at the first iteration its max
+    |dv| falls under ``opts.tolerance``, and the chunk stops once every
+    column in it is done or has gone non-finite, or at
+    ``opts.max_iterations``.  ``iterations`` is the max over the chunks, so
+    when steps shrink it is the max of the per-case counts; a stalled column
+    holds only its own chunk open.  A case is converged when its step met the
+    tolerance and its power residual is under ``opts.residual_tolerance``.
     """
     if loads.n_demand != model.n_demand:
         raise ValueError(
             f"load matrix has {loads.n_demand} rows, model has {model.n_demand}"
         )
-    if not model.zip.is_constant_power:
+    zc = model.zip
+    if zc.alpha_z.any():
         return solve_cases(fpi_solve, model, loads, opts)
 
+    b, tau = loads.values.shape
     apply_z = make_z(model.admittance.y_dd)
-    run = fixed_point(
-        apply_z,
-        np.negative(np.conj(loads.values), order="F"),
-        apply_z(-model.source_injection()[:, None]),
-        start_voltage(model, opts, loads.tau),
-        opts.tolerance,
-        opts.max_iterations,
-    )
-    with np.errstate(invalid="ignore", over="ignore"):
-        residuals = residual_per_case(model, run.v, loads.values)
+    src = model.source_injection()[:, None]
+    neg_p = -zc.alpha_p[:, None]
+    alpha_i = zc.alpha_i[:, None] if zc.alpha_i.any() else None
+    # the no-load voltage; with a constant-current share w is per chunk
+    w = apply_z(-src)
+    mask = np.empty(tau, dtype=bool)
+    residuals = np.empty(tau)
+    iterations = 0
+    width = max(1, _CHUNK_BYTES // (16 * b))
+    for start in range(0, tau, width):
+        cols = slice(start, min(start + width, tau))
+        s = loads.values[:, cols]
+        # s* in Fortran order, then scaled in place to a = -alpha_p . s*
+        a = np.conjugate(s, out=np.empty(s.shape, dtype=complex, order="F"))
+        if alpha_i is not None:
+            w = apply_z(-(src + alpha_i * a))
+        a *= neg_p
+        run = fixed_point(
+            apply_z, a, w, start_voltage(model, opts, cols.stop - start),
+            opts.tolerance, opts.max_iterations,
+        )
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = residual_per_case(model, run.v, s)
+        if start == 0:
+            # allocated once the first chunk's scratch is free; allocated
+            # before it, glibc returned that scratch to the OS and faulted it
+            # back on every call (+15% on a 100-node, 100-case batch)
+            v = np.empty((b, tau), dtype=complex)
+        v[:, cols] = run.v
+        mask[cols] = (run.first_converged > 0) & (res < opts.residual_tolerance)
+        residuals[cols] = res
+        iterations = max(iterations, run.iterations)
     return VoltageBatch(
-        values=np.ascontiguousarray(run.v),
-        iterations=run.iterations,
-        converged_mask=(run.first_converged > 0)
-        & (residuals < opts.residual_tolerance),
-        residuals=residuals,
+        values=v, iterations=iterations, converged_mask=mask, residuals=residuals
     )
 
 

@@ -156,7 +156,9 @@ def assemble_fpi(model: NetworkModel, s: np.ndarray) -> FpiMatrices:
     zc = model.zip
     sc = np.conj(s)
     a = zc.alpha_p * sc
-    B = sparse.diags(zc.alpha_z * sc) + model.admittance.y_dd
+    B = model.admittance.y_dd
+    if zc.alpha_z.any():
+        B = sparse.diags(zc.alpha_z * sc) + B
     c = model.source_injection() + zc.alpha_i * sc
     lu = factorize(B)
     w = -lu.solve(c.astype(complex))

@@ -1,14 +1,15 @@
 """Batched fixed-point power flow through one sparse LU of Y_dd.
 
-The dense path's update ``V <- -Z_B (S / V)* + W`` with ``Z_B = Y_dd^(-1)``
-is applied here without forming the inverse: every iteration solves
+The dense path's update ``V <- -Z_B (alpha_p . S* / V*) + W`` with
+``Z_B = Y_dd^(-1)`` is applied here without forming the inverse: every
+iteration solves
 
-    Y_dd X = -(S* / V_(n)*),    V_(n+1) = X + W
+    Y_dd X = -(alpha_p . S* / V_(n)*),    V_(n+1) = X + W
 
-for the whole bphi x tau right-hand side with one LU factorization of Y_dd,
-computed once per batch, where Y_dd W = -Y_ds v_s.  A zero-load entry
-contributes an exact zero to the right-hand side, so such nodes need no
-special handling.
+for a whole bphi x chunk right-hand side with one LU factorization of Y_dd,
+computed once per batch and reused by every column chunk, where
+``Y_dd W = -(Y_ds v_s + alpha_i . S*)``.  A zero-load entry contributes an
+exact zero to the right-hand side, so such nodes need no special handling.
 
 The factorization is :func:`tpflow.fpi.factorize`, re-exported here with
 its counter :func:`factorization_count`, so reuse (exactly one

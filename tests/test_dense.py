@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
+from tpflow import dense
 from tpflow.dense import (
     LoadMatrix,
     PowerTensor,
@@ -9,13 +13,28 @@ from tpflow.dense import (
     reshape_tensor,
     unreshape,
 )
-from tpflow.fpi import SolveOptions, fpi_solve
+from tpflow.fpi import SolveOptions, factorization_count, fpi_solve
 from tpflow.network import NetworkModel, ZipCoefficients
+from tpflow.newton import nr_solve
 from tpflow.sparse import batch_solve_sparse
 
 from conftest import feasible_batch, two_bus_model
 
 V_HIGH = (1 + np.sqrt(0.96)) / 2
+
+
+def with_zip(model, alpha_z, alpha_i, alpha_p):
+    """``model`` with the same (alpha_z, alpha_i, alpha_p) at every node."""
+    b = model.n_demand
+    return NetworkModel(
+        admittance=model.admittance,
+        slack=model.slack,
+        zip=ZipCoefficients(
+            alpha_z=np.full(b, alpha_z), alpha_i=np.full(b, alpha_i),
+            alpha_p=np.full(b, alpha_p),
+        ),
+        branches=model.branches,
+    )
 
 
 class TestReshape:
@@ -138,6 +157,35 @@ class TestBatchSolve:
             assert np.array_equal(out.values[:, j], single.v)
 
     @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
+    def test_zip_without_impedance_share_runs_as_one_batch(self, nine_bus_model, solver):
+        model = with_zip(nine_bus_model, 0.0, 0.3, 0.7)
+        loads = feasible_batch(nine_bus_model, 20, seed=27)
+        before = factorization_count()
+        out = solver(model, loads)
+        # one Z_B for the batch: the sparse path's single LU, no per-case LUs
+        assert factorization_count() - before == (solver is batch_solve_sparse)
+        assert out.converged_mask.all()
+        singles = []
+        for j in range(loads.tau):
+            single = fpi_solve(model, loads.values[:, j])
+            newton = nr_solve(model, loads.values[:, j])
+            assert np.abs(out.values[:, j] - single.v).max() < 1e-10
+            assert np.abs(out.values[:, j] - newton.v).max() < 1e-8
+            singles.append(single.iterations)
+        assert out.iterations == max(singles)
+
+    @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
+    def test_constant_current_batch_is_one_linear_solve(self, nine_bus_model, solver):
+        model = with_zip(nine_bus_model, 0.0, 1.0, 0.0)
+        loads = feasible_batch(nine_bus_model, 12, seed=28)
+        out = solver(model, loads)
+        assert out.converged_mask.all() and out.iterations == 1
+        # Y_dd v = -(Y_ds v_s + s*): the current injection does not depend on v
+        rhs = -(model.source_injection()[:, None] + np.conj(loads.values))
+        direct = spsolve(model.admittance.y_dd, rhs)
+        assert np.abs(out.values - direct).max() < 1e-12
+
+    @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
     def test_start_at_solved_voltage_takes_one_iteration(self, nine_bus_model, solver):
         s = feasible_batch(nine_bus_model, 1, seed=26).values
         solved = fpi_solve(nine_bus_model, s[:, 0]).v
@@ -153,6 +201,52 @@ class TestBatchSolve:
         out = batch_solve_dense(nine_bus_model, loads)
         assert out.converged_mask.all()
         assert out.iterations <= 1
+
+
+class TestChunks:
+    @staticmethod
+    def _batch_with_stalled_column(model):
+        loads = feasible_batch(model, 40, seed=29).values.copy()
+        loads[:, 13] *= 100.0
+        return LoadMatrix(loads)
+
+    def test_chunked_matches_single_chunk(self, nine_bus_model, monkeypatch):
+        loads = self._batch_with_stalled_column(nine_bus_model)
+        whole = {}
+        for solver in (batch_solve_dense, batch_solve_sparse):
+            monkeypatch.setattr(dense, "_CHUNK_BYTES", 1 << 40)
+            whole[solver] = solver(nine_bus_model, loads)
+        # 7 columns per chunk: six chunks, the stalled column in the second
+        monkeypatch.setattr(dense, "_CHUNK_BYTES", 16 * nine_bus_model.n_demand * 7)
+        chunked = {s: s(nine_bus_model, loads) for s in whole}
+        for solver, out in chunked.items():
+            ref = whole[solver]
+            assert not out.converged_mask[13] and out.converged_mask.sum() == 39
+            assert np.array_equal(out.converged_mask, ref.converged_mask)
+            assert out.iterations == ref.iterations
+            ok = out.converged_mask
+            assert np.abs(out.values[:, ok] - ref.values[:, ok]).max() < 1e-10
+            assert out.values.flags.c_contiguous
+        dense_out, sparse_out = chunked.values()
+        assert dense_out.iterations == sparse_out.iterations
+        assert np.array_equal(dense_out.converged_mask, sparse_out.converged_mask)
+
+    @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
+    def test_scratch_memory_does_not_grow_with_tau(self, nine_bus_model, solver):
+        loads = feasible_batch(nine_bus_model, 40_000, seed=30)
+        scratch = []
+        for tau in (8_000, 40_000):
+            part = LoadMatrix(np.ascontiguousarray(loads.values[:, :tau]))
+            tracemalloc.start()
+            try:
+                out = solver(nine_bus_model, part)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert out.converged_mask.all()
+            kept = out.values.nbytes + out.converged_mask.nbytes + out.residuals.nbytes
+            scratch.append(peak - kept)
+        assert scratch[1] < 1.25 * scratch[0], scratch
 
 
 def test_voltage_batch_accessors():
