@@ -83,10 +83,9 @@ def _circle_rows(center, radius, kind, n_points):
     if not np.isfinite(radius):
         return []
     t = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
-    return [
-        (kind, center[0] + radius * np.cos(a), center[1] + radius * np.sin(a))
-        for a in t
-    ]
+    r = center[0] + radius * np.cos(t)
+    x = center[1] + radius * np.sin(t)
+    return list(zip([kind] * n_points, r.tolist(), x.tolist()))
 
 
 def _cmd_twobus_circles(args) -> int:
@@ -96,23 +95,16 @@ def _cmd_twobus_circles(args) -> int:
     pair = twobus.load_circles(sys_)
     rows = _circle_rows(pair.center_p, pair.radius_p, "circle_p", args.points)
     rows += _circle_rows(pair.center_q, pair.radius_q, "circle_q", args.points)
-    rows += [
-        ("intersection", r, x) for r, x in twobus.circle_intersections(pair)
-    ]
-    with open(args.out, "w") as fh:
-        fh.write("kind,r,x\n")
-        for kind, r, x in rows:
-            fh.write(f"{kind},{r:.17g},{x:.17g}\n")
+    rows += [("intersection", *rx) for rx in twobus.circle_intersections(pair)]
+    fileio.write_table(args.out, "kind,r,x", rows, "%s,%.17g,%.17g")
     return 0
 
 
 def _cmd_twobus_region(args) -> int:
     coeffs = twobus.feasibility_parabola(args.rs, args.xs, args.v0)
     locus = twobus.parabola_locus(coeffs, n_points=args.points)
-    with open(args.out, "w") as fh:
-        fh.write("p,q,dist\n")
-        for p, q, dist in locus:
-            fh.write(f"{p:.17g},{q:.17g},{dist:.17g}\n")
+    fileio.write_table(args.out, "p,q,dist", map(np.ndarray.tolist, locus),
+                       "%.17g,%.17g,%.17g")
     return 0
 
 
@@ -126,12 +118,10 @@ def _cmd_twobus_basin(args) -> int:
         im_range=(args.im_min, args.im_max),
         resolution=args.resolution, opts=_options(args),
     )
-    with open(args.out, "w") as fh:
-        fh.write("re,im,class,iters\n")
-        for i, re in enumerate(basin.re_grid):
-            for j, im in enumerate(basin.im_grid):
-                name = twobus.CLASS_NAMES[basin.classes[i, j]]
-                fh.write(f"{re:.17g},{im:.17g},{name},{basin.iterations[i, j]}\n")
+    re, im = np.meshgrid(basin.re_grid, basin.im_grid, indexing="ij")
+    names = np.asarray(twobus.CLASS_NAMES)[basin.classes]
+    rows = zip(*(c.ravel().tolist() for c in (re, im, names, basin.iterations)))
+    fileio.write_table(args.out, "re,im,class,iters", rows, "%.17g,%.17g,%s,%d")
     return 0
 
 

@@ -6,10 +6,10 @@ coordinate triplets for Y_dd / Y_ds and overrides branch assembly (the route
 for polyphase or externally assembled systems).
 
 Loads and voltages are comma-delimited text with one row per case; a load
-table may hold blank lines and CRLF line ends but no comments.  Numeric
-output uses 17 significant digits so values round-trip exactly; identical
-inputs therefore produce byte-identical files.  Timing and other run
-metadata go to a separate JSON document.
+table may hold blank lines and CRLF line ends but no comments.  Every text
+table (these two, bench records, the two-bus tables) goes through one writer,
+:func:`write_table`, with 17 significant digits, so floats round-trip exactly
+and identical inputs give byte-identical files.  Run metadata is JSON.
 """
 
 from __future__ import annotations
@@ -36,15 +36,12 @@ __all__ = [
     "write_metadata",
     "read_bench_records",
     "write_bench_records",
+    "write_table",
 ]
 
 
 class FileFormatError(ValueError):
     """Malformed input file; the message names the file and offending field."""
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _require(mapping: dict, key: str, path, context: str = "document"):
@@ -177,28 +174,28 @@ def read_network(path) -> NetworkModel:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def _load_header(n_demand: int) -> list[str]:
-    cols = []
-    for node in range(1, n_demand + 1):
-        cols += [f"p_{node}", f"q_{node}"]
-    return cols
+def _pair_header(x: str, y: str, n: int) -> str:
+    """``x_1,y_1,...,x_n,y_n``, the node columns of a load or voltage table."""
+    return ",".join(f"{c}_{node}" for node in range(1, n + 1) for c in (x, y))
 
 
-def _write_table(path, header: list[str], table: np.ndarray, fmt) -> None:
-    """A header line, then one comma-joined row of ``table`` per case.
+def write_table(path, header: str, rows, fmt: str) -> None:
+    """The ``header`` line, then the line ``fmt % tuple(row)`` per row.
 
-    ``%.17g`` prints a float exactly as ``_fmt`` does.  The open handle keeps
-    numpy from compressing a path that ends in ``.gz``.
+    Rows hold Python floats, ints and strings; an array goes in as
+    ``map(np.ndarray.tolist, table)``, converted one row at a time.
     """
+    line = fmt + "\n"
     with open(path, "w") as fh:
-        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(header),
-                   comments="")
+        fh.write(header + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_loads(path, loads: LoadMatrix) -> None:
     # a C-ordered complex tau x b array viewed as floats interleaves re, im
     table = np.ascontiguousarray(loads.values.T).view(np.float64)
-    _write_table(path, _load_header(loads.n_demand), table, "%.17g")
+    write_table(path, _pair_header("p", "q", loads.n_demand),
+                map(np.ndarray.tolist, table), ",".join(["%.17g"] * table.shape[1]))
 
 
 def _loadtxt(lines) -> np.ndarray:
@@ -268,7 +265,7 @@ def read_loads(path) -> LoadMatrix:
                 f"{path}: header must hold p_<node>,q_<node> pairs"
             )
         b = len(names) // 2
-        if names != _load_header(b):
+        if header != _pair_header("p", "q", b):
             raise FileFormatError(
                 f"{path}: header {names[:4]}... does not match the expected "
                 f"p_1,q_1,...,p_{b},q_{b} layout"
@@ -300,11 +297,8 @@ def write_voltages(path, batch: VoltageBatch) -> None:
     table[:, 0:-1:2] = np.abs(batch.values).T
     table[:, 1:-1:2] = np.angle(batch.values).T
     table[:, -1] = batch.converged_mask
-    cols = []
-    for node in range(1, b + 1):
-        cols += [f"vm_{node}", f"va_{node}"]
-    cols.append("converged")
-    _write_table(path, cols, table, ["%.17g"] * (2 * b) + ["%d"])
+    write_table(path, _pair_header("vm", "va", b) + ",converged",
+                map(np.ndarray.tolist, table), "%.17g," * (2 * b) + "%d")
 
 
 def write_metadata(path, meta: dict) -> None:
@@ -315,14 +309,12 @@ _BENCH_HEADER = "method,b_phi,tau,wall_seconds,iterations,repeats,error"
 
 
 def write_bench_records(path, records) -> None:
-    with open(path, "w") as fh:
-        fh.write(_BENCH_HEADER + "\n")
-        for r in records:
-            err = (r.error or "").replace(",", ";")
-            fh.write(
-                f"{r.method},{r.b_phi},{r.tau},{_fmt(r.wall_seconds)},"
-                f"{r.iterations},{r.repeats},{err}\n"
-            )
+    rows = (
+        (r.method, r.b_phi, r.tau, r.wall_seconds, r.iterations, r.repeats,
+         (r.error or "").replace(",", ";"))
+        for r in records
+    )
+    write_table(path, _BENCH_HEADER, rows, "%s,%d,%d,%.17g,%d,%d,%s")
 
 
 def read_bench_records(path):

@@ -284,7 +284,7 @@ def fpi_solve(
     k = None
     if opts.compute_contraction and np.all(np.isfinite(v.view(float))):
         # A = 0 makes the map constant, so it contracts with k = 0
-        k = contraction_estimate(model, v, s) if mats.a.any() else 0.0
+        k = _contraction(mats.lu, v, s) if mats.a.any() else 0.0
     return SolveResult(
         v=v,
         iterations=run.iterations,
@@ -343,11 +343,15 @@ def contraction_estimate(
     k < 1 certifies the iteration is a contraction at the solution.
     """
     s = np.asarray(s, dtype=complex).ravel()
+    return _contraction(assemble_fpi(model, s).lu, v, s)
+
+
+def _contraction(lu, v: np.ndarray, s: np.ndarray) -> float:
+    """:func:`contraction_estimate` through ``lu``, the LU of B at ``s``."""
     v = np.asarray(v, dtype=complex).ravel()
     if np.any(np.abs(v) == 0):
         raise ValueError("contraction estimate requires nonzero voltages")
-    mats = assemble_fpi(model, s)
-    zb = mats.lu.solve(np.eye(model.n_demand, dtype=complex))
+    zb = lu.solve(np.eye(lu.shape[0], dtype=complex))
     colsums = np.abs(zb).sum(axis=0)
     inv_zl = np.abs(s) / np.abs(v) ** 2
     return float(np.max(colsums * inv_zl, initial=0.0))

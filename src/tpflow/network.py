@@ -8,11 +8,11 @@ indexed 1..b in file and branch terms; internally demand quantities use
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Branch",
@@ -112,30 +112,11 @@ class PartitionedAdmittance:
         return self.y_dd.shape[0]
 
 
-def _adjacency(branches: list[Branch] | tuple[Branch, ...], n_buses: int) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n_buses)]
-    for br in branches:
-        adj[br.from_bus].append(br.to_bus)
-        adj[br.to_bus].append(br.from_bus)
-    return adj
-
-
-def _connected(branches, n_buses: int) -> tuple[bool, list[int]]:
-    """BFS from bus 0; returns (all reached, list of unreachable buses)."""
-    if n_buses == 0:
-        return True, []
-    adj = _adjacency(branches, n_buses)
-    seen = [False] * n_buses
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    missing = [i for i, ok in enumerate(seen) if not ok]
-    return not missing, missing
+def _branch_graph(branches, n_buses: int) -> sparse.csr_matrix:
+    """Bus adjacency of ``branches``, for the walks of scipy.sparse.csgraph."""
+    ends = [(br.from_bus, br.to_bus) for br in branches]
+    i, j = np.array(ends, dtype=int).reshape(-1, 2).T
+    return sparse.csr_matrix((np.ones(len(ends)), (i, j)), shape=(n_buses, n_buses))
 
 
 def build_admittance(branches: list[Branch] | tuple[Branch, ...], n_buses: int) -> PartitionedAdmittance:
@@ -158,8 +139,9 @@ def build_admittance(branches: list[Branch] | tuple[Branch, ...], n_buses: int) 
             raise NetworkError(
                 f"negative resistance on branch {br.from_bus}-{br.to_bus}"
             )
-    ok, missing = _connected(branches, n_buses)
-    if not ok:
+    _, labels = connected_components(_branch_graph(branches, n_buses), directed=False)
+    missing = np.flatnonzero(labels != labels[0]).tolist()
+    if missing:
         raise NetworkError(f"disconnected network: unreachable buses {missing}")
 
     rows: list[int] = []
@@ -180,8 +162,8 @@ def radial_check(branches, n_buses: int) -> bool:
     """True iff the branch graph is a spanning tree (connected, n-1 edges)."""
     if len(branches) != n_buses - 1:
         return False
-    ok, _ = _connected(branches, n_buses)
-    return ok
+    graph = _branch_graph(branches, n_buses)
+    return connected_components(graph, directed=False)[0] == 1
 
 
 @dataclass(frozen=True)
@@ -259,8 +241,6 @@ def validate(model: NetworkModel) -> list[str]:
     be symmetric and it must factorize.  Diagnostics are reports, not
     exceptions.
     """
-    from scipy.sparse.csgraph import connected_components
-
     from .fpi import SingularSystemError, factorize
 
     diags: list[str] = []

@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order
 
 from .dense import LoadMatrix
 from .fpi import factorize
-from .network import Branch, NetworkModel, radial_check
+from .network import Branch, NetworkModel, _branch_graph, radial_check
 
 __all__ = ["GenSpec", "gen_kary_tree", "assign_impedances", "gen_scenarios",
            "build_network"]
@@ -105,21 +106,14 @@ def _max_thevenin(model: NetworkModel) -> float:
     if model.branches and radial_check(model.branches, n_buses) and all(
         br.b_shunt == 0 for br in model.branches
     ):
+        graph = _branch_graph(model.branches, n_buses)
+        order, parent = breadth_first_order(graph, 0, directed=False)
+        z = {(br.from_bus, br.to_bus): complex(br.r, br.x) for br in model.branches}
+        z.update({(j, i): z_ij for (i, j), z_ij in z.items()})
+        # breadth-first order puts a bus after its parent: paths sum from the root
         z_path = np.zeros(n_buses, dtype=complex)
-        adj: dict[int, list[tuple[int, complex]]] = {i: [] for i in range(n_buses)}
-        for br in model.branches:
-            z = complex(br.r, br.x)
-            adj[br.from_bus].append((br.to_bus, z))
-            adj[br.to_bus].append((br.from_bus, z))
-        stack = [0]
-        seen = {0}
-        while stack:
-            u = stack.pop()
-            for v, z in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    z_path[v] = z_path[u] + z
-                    stack.append(v)
+        for v in order[1:]:
+            z_path[v] = z_path[parent[v]] + z[parent[v], v]
         return float(np.abs(z_path[1:]).max())
     zb = factorize(model.admittance.y_dd).solve(np.eye(model.n_demand, dtype=complex))
     return float(np.abs(np.diag(zb)).max())

@@ -3,11 +3,21 @@ import json
 import numpy as np
 import pytest
 
+from tpflow import twobus
 from tpflow.cli import main
+from tpflow.fpi import SolveOptions
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _cells(*xs) -> list[str]:
+    return [f"{x:.17g}" for x in xs]
+
+
+def _text(lines) -> bytes:
+    return ("\n".join(lines) + "\n").encode()
 
 
 @pytest.fixture
@@ -179,6 +189,70 @@ class TestTwoBus:
         assert len(lines) == 40 * 40
         high = sum(1 for l in lines if l.split(",")[2] == "high")
         assert high / len(lines) >= 0.999
+
+
+class TestTwoBusBytes:
+    """Table bytes against a reference built one cell at a time."""
+
+    SYSTEM = twobus.TwoBusSystem(z_s=complex(1.0, 0.5), v0=1.0,
+                                 s_l=complex(0.18, 0.11))
+
+    def test_circles(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run([
+            "twobus", "circles", "--rs", 1, "--xs", 0.5, "--p", 0.18,
+            "--q", 0.11, "--points", 7, "--out", out,
+        ]) == 0
+        pair = twobus.load_circles(self.SYSTEM)
+        lines = ["kind,r,x"]
+        for kind, (cr, cx), radius in (
+            ("circle_p", pair.center_p, pair.radius_p),
+            ("circle_q", pair.center_q, pair.radius_q),
+        ):
+            for a in np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False):
+                lines.append(",".join(
+                    [kind] + _cells(cr + radius * np.cos(a), cx + radius * np.sin(a))
+                ))
+        for r, x in twobus.circle_intersections(pair):
+            lines.append(",".join(["intersection"] + _cells(r, x)))
+        assert len(lines) == 1 + 7 + 7 + 2
+        assert out.read_bytes() == _text(lines)
+
+    def test_circles_of_unreachable_load_are_header_only(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run([
+            "twobus", "circles", "--rs", 1, "--xs", 0.5, "--p", 5, "--q", 5,
+            "--out", out,
+        ]) == 0
+        assert out.read_bytes() == b"kind,r,x\n"
+
+    def test_region(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run([
+            "twobus", "region", "--rs", 1, "--xs", 0.5, "--points", 9,
+            "--out", out,
+        ]) == 0
+        coeffs = twobus.feasibility_parabola(1.0, 0.5, 1.0)
+        locus = twobus.parabola_locus(coeffs, n_points=9)
+        lines = ["p,q,dist"] + [",".join(_cells(*row)) for row in locus]
+        assert len(lines) > 1
+        assert out.read_bytes() == _text(lines)
+
+    def test_basin(self, tmp_path):
+        out = tmp_path / "b.csv"
+        assert run([
+            "twobus", "basin", "--resolution", 5, "--out", out,
+        ]) == 0
+        basin = twobus.basin_scan(self.SYSTEM, method="fpi", resolution=5,
+                                  opts=SolveOptions())
+        lines = ["re,im,class,iters"]
+        for i, re in enumerate(basin.re_grid):
+            for j, im in enumerate(basin.im_grid):
+                name = twobus.CLASS_NAMES[basin.classes[i, j]]
+                iters = str(basin.iterations[i, j])
+                lines.append(",".join(_cells(re, im) + [name, iters]))
+        assert len(lines) == 1 + 5 * 5
+        assert out.read_bytes() == _text(lines)
 
 
 class TestBenchAndFit:

@@ -248,6 +248,25 @@ class TestByteFormat:
         write_loads(path, loads)
         assert path.read_bytes() == expected.encode()
 
+    def test_bench_record_bytes(self, tmp_path):
+        records = [
+            BenchRecord("dense", 100, 1000, 0.1 + 0.2, 12, 3),
+            BenchRecord("nr", 9, 10, float("nan"), 0, 1, error="Timeout: a, b"),
+        ]
+        lines = ["method,b_phi,tau,wall_seconds,iterations,repeats,error"]
+        for r in records:
+            cells = [r.method, str(r.b_phi), str(r.tau)]
+            cells += _cells(r.wall_seconds)
+            cells += [str(r.iterations), str(r.repeats)]
+            cells.append((r.error or "").replace(",", ";"))
+            lines.append(",".join(cells))
+        expected = "\n".join(lines) + "\n"
+        assert ",0.30000000000000004,12,3,\n" in expected
+        assert ",nan,0,1,Timeout: a; b\n" in expected
+        path = tmp_path / "rec.csv"
+        write_bench_records(path, records)
+        assert path.read_bytes() == expected.encode()
+
 
 class TestBenchRecordFiles:
     def test_round_trip(self, tmp_path):

@@ -7,6 +7,7 @@ from tpflow.fpi import (
     SolveOptions,
     assemble_fpi,
     contraction_estimate,
+    factorization_count,
     fixed_point,
     fpi_solve,
     power_residual,
@@ -210,6 +211,13 @@ class TestContraction:
         res = fpi_solve(nine_bus_model, s, SolveOptions(compute_contraction=True))
         assert res.converged
         assert res.contraction_k is not None and res.contraction_k < 1
+
+    def test_contraction_reuses_the_solve_factorization(self, nine_bus_model):
+        s = feasible_batch(nine_bus_model, 1, seed=4).values[:, 0]
+        before = factorization_count()
+        res = fpi_solve(nine_bus_model, s, SolveOptions(compute_contraction=True))
+        assert factorization_count() - before == 1
+        assert res.contraction_k == contraction_estimate(nine_bus_model, res.v, s)
 
 
 class TestMatrixSuppliedModels:

@@ -73,6 +73,9 @@ def test_y_dd_symmetric_for_reciprocal_branches():
 def test_disconnected_graph_rejected():
     with pytest.raises(NetworkError, match="disconnected"):
         build_admittance([Branch(0, 1, 0.1, 0.0)], 3)
+    # buses 3 and 4 are two islands of one bus each: both are named
+    with pytest.raises(NetworkError, match=r"unreachable buses \[3, 4\]$"):
+        build_admittance(chain(3), 5)
 
 
 def test_zero_impedance_branch_rejected():
@@ -130,6 +133,8 @@ def test_radial_check_chain_and_loop():
     assert radial_check(chain(3), 3) is True
     loop = chain(3) + [Branch(0, 2, 0.1, 0.0)]
     assert radial_check(loop, 3) is False
+    # n - 1 branches, but they close a cycle and leave bus 3 unreached
+    assert radial_check(loop, 4) is False
 
 
 @pytest.mark.parametrize("seed", [1, 9, 77])

@@ -151,6 +151,18 @@ class TestScenarios:
         slow = _max_thevenin(matrix_model)
         assert fast == pytest.approx(slow, rel=1e-10)
 
+    def test_thevenin_path_sum_matches_lu_on_large_feeder(self):
+        from tpflow.network import NetworkModel
+        from tpflow.synth import _max_thevenin
+
+        model = build_network(GenSpec(n_buses=1001, seed=15))
+        matrix_model = NetworkModel.from_admittance(
+            model.admittance.y_dd, model.admittance.y_ds, slack=model.slack
+        )
+        assert _max_thevenin(model) == pytest.approx(
+            _max_thevenin(matrix_model), rel=1e-12
+        )
+
     def test_tau_validation(self, nine_bus_model):
         with pytest.raises(ValueError):
             gen_scenarios(nine_bus_model, 0, GenSpec(n_buses=9))
