@@ -53,17 +53,13 @@ class PowerTensor:
     def dims(self) -> tuple[int, ...]:
         return self.values.shape[:-1]
 
-    @property
-    def n_cases(self) -> int:
-        return math.prod(self.dims)
-
 
 @dataclass(frozen=True)
 class LoadMatrix:
     """Loads reshaped to bphi x tau; column j is case j in row-major order.
 
-    An empty batch (tau = 0) and non-finite entries are rejected with
-    :class:`ValueError`.
+    An empty batch (tau = 0), non-finite entries and ``dims`` whose product
+    is not tau are rejected with :class:`ValueError`.
     """
 
     values: np.ndarray
@@ -84,6 +80,11 @@ class LoadMatrix:
         object.__setattr__(self, "values", vals)
         if not self.dims:
             object.__setattr__(self, "dims", (vals.shape[1],))
+        if math.prod(self.dims) != vals.shape[1]:
+            raise ValueError(
+                f"dims {tuple(self.dims)} describe {math.prod(self.dims)} cases, "
+                f"but the load matrix has {vals.shape[1]}"
+            )
 
     @property
     def n_demand(self) -> int:

@@ -2,8 +2,8 @@
 
 Serves as the independent correctness oracle for the fixed-point solvers and
 as the per-case comparison baseline in benchmarks.  PQ demand buses plus one
-slack; the Jacobian is assembled sparse and refactorized every iteration
-(unlike the fixed-point paths, nothing here is reusable across iterations).
+slack; the Jacobian's pattern is built once per solve, and its values are
+refilled and refactorized every iteration (no LU is reusable across them).
 """
 
 from __future__ import annotations
@@ -18,17 +18,19 @@ from .network import NetworkModel
 __all__ = ["nr_solve", "nr_iteration_count"]
 
 
-def _injection_jacobian(y_dd, v, i_d):
-    """Partials of demand-bus complex power w.r.t. angle and magnitude.
+def _jacobian(y, rows, cols, v, i_d):
+    """Real Jacobian of demand-bus power w.r.t. (Va, Vm) on the ``rows, cols``
+    pattern; conversion to CSC sums the diagonal terms into place.
 
     dS/dVa = j diag(V) conj(diag(I) - Y_dd diag(V))
     dS/dVm = diag(V) conj(Y_dd diag(Vn)) + diag(conj(I) Vn),  Vn = V/|V|
     """
     vn = v / np.abs(v)
-    dv = sparse.diags(v)
-    ds_dva = 1j * dv @ (sparse.diags(i_d) - y_dd @ dv).conj()
-    ds_dvm = dv @ (y_dd @ sparse.diags(vn)).conj() + sparse.diags(np.conj(i_d) * vn)
-    return ds_dva.tocoo(), ds_dvm.tocoo()
+    vy = v[y.row] * np.conj(y.data)
+    ds_dva = np.concatenate([-1j * vy * np.conj(v[y.col]), 1j * v * np.conj(i_d)])
+    ds_dvm = np.concatenate([vy * np.conj(vn[y.col]), np.conj(i_d) * vn])
+    data = np.concatenate([ds_dva.real, ds_dvm.real, ds_dva.imag, ds_dvm.imag])
+    return sparse.csc_matrix((data, (rows, cols)), shape=(2 * v.size,) * 2)
 
 
 def nr_solve(
@@ -45,6 +47,9 @@ def nr_solve(
     if s.shape[0] != b:
         raise ValueError(f"load vector sized {s.shape[0]}, expected {b}")
     y_dd = model.admittance.y_dd
+    y = y_dd.tocoo()  # each real Jacobian block: Y_dd's pattern plus its diagonal
+    r, c = (np.concatenate([k, np.arange(b, dtype=k.dtype)]) for k in (y.row, y.col))
+    rows, cols = np.concatenate([r, r, r + b, r + b]), np.concatenate([c, c + b, c, c + b])
     src = model.source_injection()
 
     v = start_voltage(model, opts)[:, 0]
@@ -70,13 +75,8 @@ def nr_solve(
             break
         if it == opts.max_iterations:
             break
-        ds_dva, ds_dvm = _injection_jacobian(y_dd, v, i_d)
-        jac = sparse.bmat(
-            [[ds_dva.real, ds_dvm.real], [ds_dva.imag, ds_dvm.imag]],
-            format="csc",
-        )
         try:
-            dx = splu(jac).solve(mismatch)
+            dx = splu(_jacobian(y, rows, cols, v, i_d)).solve(mismatch)
         except RuntimeError as exc:
             diagnostic = f"singular Jacobian at iteration {it + 1}: {exc}"
             break

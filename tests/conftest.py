@@ -54,6 +54,16 @@ def two_bus_model(z_s, v0=1.0):
     return NetworkModel.from_branches([branch], 2, slack=SlackSpec(complex(v0)))
 
 
+def phase_coupled_model(rng, n=6):
+    """Asymmetric, fully coupled ``y_dd`` (as for bus-phase systems) whose
+    no-load state is the flat start; entries are drawn from ``rng``."""
+    y_dd = rng.normal(0, 1, (n, n)) + 1j * rng.normal(0, 1, (n, n))
+    np.fill_diagonal(y_dd, 0)
+    np.fill_diagonal(y_dd, np.abs(y_dd).sum(axis=1) + 20.0)
+    y_ds = -(y_dd @ np.ones(n))[:, None]
+    return NetworkModel.from_admittance(y_dd, y_ds)
+
+
 def feasible_batch(model, tau, seed, scale=1.0):
     """Seeded feasible load batch for a model, via the synth sampler."""
     from tpflow.synth import gen_scenarios

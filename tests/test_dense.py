@@ -79,6 +79,13 @@ class TestLoadMatrix:
         with pytest.raises(ValueError, match="non-finite load .* at node 3, case 5"):
             LoadMatrix(vals)
 
+    def test_dims_must_match_case_count(self):
+        with pytest.raises(ValueError, match=r"dims \(3, 3\) describe 9 cases, .* has 5"):
+            LoadMatrix(np.ones((2, 5)), dims=(3, 3))
+        with pytest.raises(ValueError, match=r"dims \(2, 0\) describe 0 cases, .* has 6"):
+            LoadMatrix(np.ones((2, 6)), dims=(2, 0))
+        assert LoadMatrix(np.ones((2, 6)), dims=(2, 3)).dims == (2, 3)
+
     @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
     def test_empty_batch_rejected_for_both_paths(self, nine_bus_model, solver):
         with pytest.raises(ValueError, match="no cases"):

@@ -15,7 +15,9 @@ from tpflow.fpi import (
 )
 from tpflow.network import NetworkModel, ZipCoefficients
 
-from conftest import feasible_batch, two_bus_model, two_bus_roots_oracle
+from conftest import (
+    feasible_batch, phase_coupled_model, two_bus_model, two_bus_roots_oracle,
+)
 
 # frozen two-bus roots for z_s=0.1, v0=1, s=0.1: (1 +/- sqrt(0.96)) / 2
 V_HIGH = (1 + np.sqrt(0.96)) / 2  # 0.98989794855663564
@@ -251,11 +253,7 @@ class TestMatrixSuppliedModels:
 
         rng = np.random.default_rng(18)
         n = 6
-        y_dd = rng.normal(0, 1, (n, n)) + 1j * rng.normal(0, 1, (n, n))
-        np.fill_diagonal(y_dd, 0)
-        np.fill_diagonal(y_dd, np.abs(y_dd).sum(axis=1) + 20.0)
-        y_ds = -(y_dd @ np.ones(n))[:, None]  # flat start is the no-load state
-        model = NetworkModel.from_admittance(y_dd, y_ds)
+        model = phase_coupled_model(rng, n)
         s = 0.01 * (rng.uniform(0.5, 1, n) + 0.3j * rng.uniform(0, 1, n))
         r_fp = fpi_solve(model, s)
         r_nr = nr_solve(model, s)

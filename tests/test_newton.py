@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+from tpflow import newton
 from tpflow.fpi import SolveOptions, fpi_solve
 from tpflow.network import NetworkModel
 from tpflow.newton import nr_iteration_count, nr_solve
 
-from conftest import feasible_batch, two_bus_model
+from conftest import feasible_batch, phase_coupled_model, two_bus_model
 
 V_HIGH = (1 + np.sqrt(0.96)) / 2
 
@@ -116,3 +117,35 @@ def test_zip_loads_supported(nine_bus_model):
     r_fp = fpi_solve(model, s)
     assert r_nr.converged and r_fp.converged
     assert np.abs(r_nr.v - r_fp.v).max() < 1e-8
+
+
+@pytest.mark.parametrize("which", ["nine_bus", "phase_coupled"])
+def test_jacobian_matches_central_differences(which, nine_bus_model, monkeypatch):
+    # the phase-coupled y_dd is not symmetric, so it pins the (row, col) orientation
+    rng = np.random.default_rng(18)
+    model = nine_bus_model if which == "nine_bus" else phase_coupled_model(rng)
+    y_dd, src = model.admittance.y_dd, model.source_injection()
+    b = model.n_demand
+    patterns = []  # the (y, rows, cols) that nr_solve lays out for its steps
+    fill = newton._jacobian
+
+    def spy(y, rows, cols, v, i_d):
+        patterns.append((y, rows, cols))
+        return fill(y, rows, cols, v, i_d)
+
+    monkeypatch.setattr(newton, "_jacobian", spy)
+    assert nr_solve(model, feasible_batch(model, 1, seed=19).values[:, 0]).converged
+
+    def injection(x):  # [P, Q] of v conj(Y_ds v_s + Y_dd v) at x = (Va, Vm)
+        v = x[b:] * np.exp(1j * x[:b])
+        s = v * np.conj(src + y_dd @ v)
+        return np.concatenate([s.real, s.imag])
+
+    x = np.concatenate([rng.normal(0, 0.05, b), rng.uniform(0.9, 1.05, b)])
+    h = 1e-6
+    numeric = np.column_stack([
+        (injection(x + h * e) - injection(x - h * e)) / (2 * h) for e in np.eye(2 * b)
+    ])
+    v = x[b:] * np.exp(1j * x[:b])
+    jac = fill(*patterns[-1], v, src + y_dd @ v).toarray()
+    assert np.abs(jac - numeric).max() <= 1e-6 * np.abs(numeric).max()
