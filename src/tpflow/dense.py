@@ -128,8 +128,10 @@ def unreshape(loads: LoadMatrix) -> PowerTensor:
     return PowerTensor(values=loads.values.T.reshape(*loads.dims, bphi))
 
 
-# bytes of one b x width complex chunk; the batch driver walks columns by it
-# 256 KiB: stalled-dense 0.15 s, 512 KiB 0.21, 1 MiB 0.34 (2 cores, 1 BLAS thread)
+# bytes of one b x width complex chunk; the batch driver walks columns by it.
+# At 256 KiB / 512 KiB / 1 MiB: stalled-dense 0.049 / 0.052 / 0.067 s,
+# feeder-dense 0.52 / 0.50 / 0.48 s (medians of 5 fresh processes, 2 cores,
+# 1 BLAS thread); the feeder's runs spread over +-15%, wider than its gaps
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -169,13 +171,14 @@ def solve_columns(
     which bounds the scratch memory and keeps the elementwise work
     cache-resident; results are written into one C-ordered batch.
 
-    Stop rule, per chunk: a column is done at the first iteration its max
-    |dv| falls under ``opts.tolerance``, and the chunk stops once every
-    column in it is done or has gone non-finite, or at
-    ``opts.max_iterations``.  ``iterations`` is the max over the chunks, so
-    when steps shrink it is the max of the per-case counts; a stalled column
-    holds only its own chunk open.  A case is converged when its step met the
-    tolerance and its power residual is under ``opts.residual_tolerance``.
+    Stop rule, per column: a column is recorded at the first iteration its
+    max |dv| falls under ``opts.tolerance`` and leaves the kernel with that
+    iterate, as does a column gone non-finite; a chunk runs until no column
+    in it is left, or to ``opts.max_iterations``.  A stalled column thus
+    costs one column's work per iteration, not its chunk's.  ``iterations``
+    is the max over the chunks, so when steps shrink it is the max of the
+    per-case counts.  A case is converged when its step met the tolerance
+    and its power residual is under ``opts.residual_tolerance``.
     """
     if loads.n_demand != model.n_demand:
         raise ValueError(
@@ -190,8 +193,9 @@ def solve_columns(
     src = model.source_injection()[:, None]
     neg_p = -zc.alpha_p[:, None]
     alpha_i = zc.alpha_i[:, None] if zc.alpha_i.any() else None
-    # the no-load voltage; with a constant-current share w is per chunk
-    w = apply_z(-src)
+    if alpha_i is None:
+        # the no-load voltage, shared by every column
+        w = apply_z(-src)
     mask = np.empty(tau, dtype=bool)
     residuals = np.empty(tau)
     iterations = 0
@@ -202,6 +206,7 @@ def solve_columns(
         # s* in Fortran order, then scaled in place to a = -alpha_p . s*
         a = np.conjugate(s, out=np.empty(s.shape, dtype=complex, order="F"))
         if alpha_i is not None:
+            # a constant-current share makes w one column per case
             w = apply_z(-(src + alpha_i * a))
         a *= neg_p
         run = fixed_point(

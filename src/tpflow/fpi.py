@@ -188,14 +188,15 @@ def start_voltage(
 class FixedPointRun:
     """Outcome of :func:`fixed_point`, per column and per iteration."""
 
-    v: np.ndarray  # final iterate, b x tau
+    v: np.ndarray  # final iterate, b x tau: the caller's start, overwritten
     iterations: int
     # iteration at which the column's max step first fell under the
     # tolerance; 0 if it never did
     first_converged: np.ndarray
     non_finite: np.ndarray  # the column left the run on a non-finite step
     guarded_at: int  # last iteration the zero-voltage guard fired, 0 if none
-    # max and sum of |dv| over all columns (NaN once a column is non-finite)
+    # max and sum of |dv| over the columns still iterating at each step; a
+    # column's non-finite step shows only at the iteration it left on
     step_inf: list[float]
     step_l1: list[float]
 
@@ -206,22 +207,28 @@ def fixed_point(
 ) -> FixedPointRun:
     """Iterate ``v <- apply_z(a / v*) + w`` over the columns of ``v``.
 
-    ``v`` is the b x tau start and is overwritten; ``a`` and ``w`` broadcast
-    against it.  ``apply_z`` applies the linear map (a dense ``Z_B``, an LU
-    solve, a scalar) to a b x tau array; it may return its argument, which
-    is not read again.  Iterate entries under ``ZERO_VOLTAGE_GUARD`` in
-    magnitude are raised to it before the update.
+    ``v`` is the b x tau start; it is overwritten with the final iterates
+    and returned as the run's ``v``.  ``a`` and ``w`` broadcast against it:
+    each is b x tau (one column per case) or b x 1 (shared).  ``apply_z``
+    applies the linear map (a dense ``Z_B``, an LU solve, a scalar) to a
+    b x m array of the m columns still iterating; it may return its
+    argument, which is not read again.  Iterate entries under
+    ``ZERO_VOLTAGE_GUARD`` in magnitude are raised to it before the update.
 
     Stop rule: a column is recorded at the first iteration its max |dv|
     falls under ``tolerance``; a column whose ``a`` is all zero is recorded
-    at the first iteration, since its map is constant.  The run stops when
-    every column is recorded or has had a non-finite step, or after
-    ``max_iterations``.  A non-finite column thus never holds the others
-    open; recorded columns keep iterating until the run stops.
+    at the first iteration, since its map is constant.  A recorded column,
+    or one whose step went non-finite, leaves the run at once: its iterate
+    from that iteration is its final one, as if it had run alone, and
+    ``apply_z`` only sees the columns still pending.  The run stops when no
+    column is pending, or after ``max_iterations``.
     """
+    tau = v.shape[1]
     # int + bool broadcasts the A = 0 shortcut over the tau columns
-    first = np.zeros(v.shape[1], dtype=int) + ~np.any(a, axis=0)
+    first = np.zeros(tau, dtype=int) + ~np.any(a, axis=0)
     pending = first == 0
+    out, v = v, v.copy(order="F")
+    live = np.arange(tau)  # the column of ``out`` each working column fills
     u = np.empty_like(v)
     step_inf: list[float] = []
     step_l1: list[float] = []
@@ -242,17 +249,33 @@ def fixed_point(
             dv = np.abs(v)
             col = dv.max(axis=0)
             met = pending & (col < tolerance)
-            first[met] = n
+            first[live[met]] = n
             pending &= np.isfinite(col) & ~met
             step_inf.append(float(col.max()))
             step_l1.append(float(dv.sum()))
             u, v = v, v_next
-            if not pending.any():
+            if pending.all():
+                continue
+            # the columns that left keep this iterate; the rest are gathered
+            out[:, live[~pending]] = v[:, ~pending]
+            live = live[pending]
+            if not live.size:
                 break
+            if a.shape[1] == pending.size:
+                a = a[:, pending]
+            if w.shape[1] == pending.size:
+                w = w[:, pending]
+            v = v[:, pending]
+            u = np.empty_like(v)
+            pending = np.ones(live.size, dtype=bool)
+    if live.size:
+        # the columns still pending at the cap
+        out[:, live] = v
+    non_finite = first == 0
+    non_finite[live] = False
     return FixedPointRun(
-        v=v, iterations=n, first_converged=first,
-        non_finite=~pending & (first == 0), guarded_at=guarded_at,
-        step_inf=step_inf, step_l1=step_l1,
+        v=out, iterations=n, first_converged=first, non_finite=non_finite,
+        guarded_at=guarded_at, step_inf=step_inf, step_l1=step_l1,
     )
 
 
@@ -303,12 +326,19 @@ def zip_power(model: NetworkModel, v: np.ndarray, s: np.ndarray) -> np.ndarray:
     ``v`` and ``s`` are b-vectors or b x tau arrays; the per-node alphas
     broadcast over any trailing case axis.  The constant-current fraction
     holds the current phasor at its nominal value, so its power term scales
-    with complex v (not |v|).
+    with complex v (not |v|).  A term whose alpha is zero at every node is
+    left out: adding its zeros would not change the sum.
     """
     zc = model.zip
     shape = (-1,) + (1,) * (np.ndim(v) - 1)
-    az, ai, ap = (a.reshape(shape) for a in (zc.alpha_z, zc.alpha_i, zc.alpha_p))
-    return az * s * np.abs(v) ** 2 + ai * s * v + ap * s
+    terms = []
+    if zc.alpha_z.any():
+        terms.append(zc.alpha_z.reshape(shape) * s * np.abs(v) ** 2)
+    if zc.alpha_i.any():
+        terms.append(zc.alpha_i.reshape(shape) * s * v)
+    terms.append(zc.alpha_p.reshape(shape) * s)
+    # summed left to right, in the order of the full Z + I + P law
+    return sum(terms[1:], start=terms[0])
 
 
 def residual_per_case(

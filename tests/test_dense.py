@@ -239,6 +239,19 @@ class TestChunks:
         assert np.array_equal(dense_out.converged_mask, sparse_out.converged_mask)
 
     @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
+    def test_stalled_column_with_per_case_w(self, nine_bus_model, solver):
+        # a constant-current share gives every column its own w, which the
+        # kernel gathers as the other columns leave around the stalled one
+        model = with_zip(nine_bus_model, 0.0, 0.3, 0.7)
+        loads = self._batch_with_stalled_column(nine_bus_model)
+        out = solver(model, loads)
+        assert out.iterations == SolveOptions().max_iterations
+        assert not out.converged_mask[13] and out.converged_mask.sum() == 39
+        for j in np.flatnonzero(out.converged_mask):
+            ref = fpi_solve(model, loads.values[:, j])
+            assert np.abs(out.values[:, j] - ref.v).max() < 1e-12
+
+    @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
     def test_scratch_memory_does_not_grow_with_tau(self, nine_bus_model, solver):
         loads = feasible_batch(nine_bus_model, 40_000, seed=30)
         scratch = []

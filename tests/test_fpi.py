@@ -147,6 +147,33 @@ class TestFixedPoint:
         assert run.iterations == expected < 100
         assert abs(run.v[0, 1] - V_HIGH) < 1e-12
 
+    def test_recorded_columns_leave_the_working_arrays(self):
+        # two-bus map with a per-column a: a start at the high root (recorded
+        # at step 1), a flat start (several steps) and a load with z_s s > 1/4,
+        # which has no root, so its column runs to the cap
+        z_s, tol, cap = 0.1, 1e-10, 100
+        a = np.array([[-0.1, -0.1, -3.0]], dtype=complex)
+        starts = np.array([[V_HIGH, 1.0, 1.0]], dtype=complex)
+        widths = []
+
+        def apply_z(u):
+            widths.append(u.shape[1])
+            return z_s * u
+
+        w = np.array([[1.0 + 0j]])
+        run = fixed_point(apply_z, a, w, starts.copy(), tol, cap)
+        assert run.iterations == cap == len(widths)
+        assert run.first_converged[0] == 1 < run.first_converged[1]
+        assert run.first_converged[2] == 0 and not run.non_finite.any()
+        assert widths[0] == 3 and widths[-1] == 1
+        assert all(x >= y for x, y in zip(widths, widths[1:]))
+        assert widths.index(1) == run.first_converged[1] < cap
+        for j in (0, 1):
+            alone = fixed_point(lambda u: z_s * u, a[:, j:j + 1], w,
+                                starts[:, j:j + 1].copy(), tol, cap)
+            assert alone.iterations == run.first_converged[j]
+            assert np.array_equal(run.v[:, j], alone.v[:, 0])
+
 
 class TestResidual:
     def test_exact_solution_residual_tiny(self):
