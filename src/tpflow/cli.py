@@ -103,8 +103,7 @@ def _cmd_twobus_circles(args) -> int:
 def _cmd_twobus_region(args) -> int:
     coeffs = twobus.feasibility_parabola(args.rs, args.xs, args.v0)
     locus = twobus.parabola_locus(coeffs, n_points=args.points)
-    fileio.write_table(args.out, "p,q,dist", map(np.ndarray.tolist, locus),
-                       "%.17g,%.17g,%.17g")
+    fileio.write_float_table(args.out, "p,q,dist", locus)
     return 0
 
 

@@ -6,10 +6,23 @@ coordinate triplets for Y_dd / Y_ds and overrides branch assembly (the route
 for polyphase or externally assembled systems).
 
 Loads and voltages are comma-delimited text with one row per case; a load
-table may hold blank lines and CRLF line ends but no comments.  Every text
-table (these two, bench records, the two-bus tables) goes through one writer,
-:func:`write_table`, with 17 significant digits, so floats round-trip exactly
-and identical inputs give byte-identical files.  Run metadata is JSON.
+table may hold blank lines and CRLF line ends but no comments.  Every float
+in a text table is written with 17 significant digits, the bytes of
+``'%.17g' % x``, so floats round-trip exactly and identical inputs give
+byte-identical files.  Two writers cover the tables:
+
+* :func:`write_float_table` writes the all-float tables (loads, voltages,
+  the two-bus region) from a numpy array, in row blocks of 256 KiB of cells,
+  through the vectorised formatter of :mod:`tpflow.floattext`.  That
+  computes each cell's 17 digits exactly in bulk: Dekker's two-product of
+  ``|x|`` with the exact double ``10**(16 - X)``.  It covers zeros and
+  exponents X from -6 to 15, about ``1e-6 <= |x| < 1e16``.  Any other cell
+  (a subnormal, a tiny or huge magnitude, inf, nan) is formatted on its own
+  by ``'%.17g'`` and put into its place.
+* :func:`write_table` writes the mixed-type tables (bench records, two-bus
+  circles and basin) one ``fmt % row`` line at a time.
+
+Run metadata is JSON.
 """
 
 from __future__ import annotations
@@ -37,6 +50,7 @@ __all__ = [
     "read_bench_records",
     "write_bench_records",
     "write_table",
+    "write_float_table",
 ]
 
 
@@ -182,8 +196,9 @@ def _pair_header(x: str, y: str, n: int) -> str:
 def write_table(path, header: str, rows, fmt: str) -> None:
     """The ``header`` line, then the line ``fmt % tuple(row)`` per row.
 
-    Rows hold Python floats, ints and strings; an array goes in as
-    ``map(np.ndarray.tolist, table)``, converted one row at a time.
+    This writes the mixed-type tables (bench records, two-bus circles and
+    basin), whose rows hold Python floats, ints and strings.  A table of
+    floats only goes through :func:`write_float_table`.
     """
     line = fmt + "\n"
     with open(path, "w") as fh:
@@ -191,11 +206,35 @@ def write_table(path, header: str, rows, fmt: str) -> None:
         fh.writelines(line % tuple(row) for row in rows)
 
 
+_BLOCK_CELLS = 32768  # 256 KiB of float64 cells per formatted block
+
+
+def write_float_table(path, header: str, table) -> None:
+    """The ``header`` line, then each row of the 2-D float array ``table``
+    as ``'%.17g'`` cells joined by ','.
+
+    The bytes equal those of ``'%.17g' % x`` per cell: floats round-trip
+    exactly and identical inputs give identical files.  Rows are formatted
+    in blocks of about 256 KiB of cells, so scratch memory does not grow with
+    the row count.  There is one path: no option or environment variable
+    selects another formatter.
+    """
+    # imported here, so that a run writing no float table neither compiles
+    # the formatter nor builds its lookup tables
+    from .floattext import format_rows
+
+    table = np.asarray(table, dtype=float)
+    step = max(1, _BLOCK_CELLS // table.shape[1])
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for r0 in range(0, table.shape[0], step):
+            fh.write(format_rows(table[r0:r0 + step]))
+
+
 def write_loads(path, loads: LoadMatrix) -> None:
     # a C-ordered complex tau x b array viewed as floats interleaves re, im
     table = np.ascontiguousarray(loads.values.T).view(np.float64)
-    write_table(path, _pair_header("p", "q", loads.n_demand),
-                map(np.ndarray.tolist, table), ",".join(["%.17g"] * table.shape[1]))
+    write_float_table(path, _pair_header("p", "q", loads.n_demand), table)
 
 
 def _loadtxt(lines) -> np.ndarray:
@@ -286,19 +325,23 @@ def read_loads(path) -> LoadMatrix:
         raise FileFormatError(
             f"{path}: line {lineno}: non-finite {names[col]} = {arr[row, col]}"
         )
-    values = (arr[:, 0::2] + 1j * arr[:, 1::2]).T
+    # a C-ordered row of p, q pairs viewed as complex keeps the bits of both
+    # parts, -0.0 included, which p + 1j * q would not
+    values = arr.view(np.complex128).T
     return LoadMatrix(values=values, dims=(values.shape[1],))
 
 
 def write_voltages(path, batch: VoltageBatch) -> None:
-    """One row per case: vm_<node>,va_<node> pairs plus a converged flag."""
+    """One row per case: vm_<node>,va_<node> pairs plus a converged flag.
+
+    The flag is the float 1.0 or 0.0, which '%.17g' prints as 1 or 0.
+    """
     b = batch.values.shape[0]
     table = np.empty((batch.tau, 2 * b + 1))
     table[:, 0:-1:2] = np.abs(batch.values).T
     table[:, 1:-1:2] = np.angle(batch.values).T
     table[:, -1] = batch.converged_mask
-    write_table(path, _pair_header("vm", "va", b) + ",converged",
-                map(np.ndarray.tolist, table), "%.17g," * (2 * b) + "%d")
+    write_float_table(path, _pair_header("vm", "va", b) + ",converged", table)
 
 
 def write_metadata(path, meta: dict) -> None:

@@ -7,9 +7,15 @@ intersection) so the tests do not just re-run the implementation.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tpflow.network import Branch, NetworkModel, SlackSpec
 from tpflow.synth import GenSpec, build_network
+
+# property tests draw the same examples on every run, a fixed number of them
+settings.register_profile("tpflow", derandomize=True, max_examples=200,
+                          deadline=None, database=None)
+settings.load_profile("tpflow")
 
 
 def dense_stamp_oracle(branches, n_buses):

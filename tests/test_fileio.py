@@ -124,6 +124,17 @@ class TestLoadFiles:
         # 17 significant digits round-trip doubles exactly
         assert np.array_equal(back.values, loads.values)
 
+    def test_round_trip_keeps_sign_bits(self, tmp_path):
+        values = np.array([[complex(-0.0, 0.5), complex(0.25, -0.0)],
+                           [complex(-0.0, -0.0), complex(0.0, 0.0)]])
+        path = tmp_path / "loads.csv"
+        write_loads(path, LoadMatrix(values))
+        back = read_loads(path).values
+        assert np.array_equal(back, values)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(back, part)),
+                                  np.signbit(getattr(values, part)))
+
     def test_header_mismatch_diagnosed(self, tmp_path):
         path = tmp_path / "loads.csv"
         path.write_text("p_1,q_2\n0.1,0.0\n")

@@ -6,6 +6,7 @@ from tpflow import newton
 from tpflow.fpi import SolveOptions, fpi_solve
 from tpflow.network import NetworkModel
 from tpflow.newton import nr_iteration_count, nr_solve
+from tpflow.synth import GenSpec, build_network, gen_scenarios
 
 from conftest import feasible_batch, phase_coupled_model, two_bus_model
 
@@ -81,6 +82,18 @@ def test_singular_jacobian_reported():
     res = nr_solve(model, [0.1 + 0.05j])
     assert not res.converged
     assert "singular Jacobian" in (res.diagnostic or "")
+
+
+def test_exploding_mismatch_stops_as_diverged():
+    model = build_network(GenSpec(101, seed=7))
+    s = gen_scenarios(model, 1, GenSpec(101, seed=7)).values[:, 0] * 1000.0
+    res = nr_solve(model, s)
+    assert not res.converged
+    # iterations 2 to 4 sit over 1000 times the first mismatch
+    assert res.iterations == 4
+    assert res.diagnostic.startswith("diverged: ")
+    assert res.diagnostic.endswith(f"at iteration {res.iterations}")
+    assert res.step_inf[-1] > 1e3 * res.step_inf.min()
 
 
 def test_initial_voltage_respected():
