@@ -22,13 +22,25 @@ byte-identical files.  Two writers cover the tables:
 * :func:`write_table` writes the mixed-type tables (bench records, two-bus
   circles and basin) one ``fmt % row`` line at a time.
 
+:func:`read_loads` parses a load table in bulk with
+:func:`tpflow.floattext.parse_rows` when every row after the header is
+comma-separated cells of the grammar ``-?D*(.D*)?([eE][+-]?D+)?``, each row
+ended by a newline: the rows are counted, the table is allocated once, and
+the text is parsed in blocks of whole lines of about 256 KiB.  Any other
+table (CRLF or blank lines, spaces, a leading '+', nan or inf, '_', a
+non-ASCII byte, a wrong field count, no final newline) is read by
+``np.loadtxt`` as before, and only that path reports errors.  Both give each
+cell's correctly rounded double, so they agree bit for bit.
+
 Run metadata is JSON.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import os
 import warnings
 from pathlib import Path
 from typing import Any
@@ -237,6 +249,56 @@ def write_loads(path, loads: LoadMatrix) -> None:
     write_float_table(path, _pair_header("p", "q", loads.n_demand), table)
 
 
+_TEXT_CHUNK = 1 << 18  # 256 KiB of table text per parsed block
+
+
+def _parse_table(path, ncols: int) -> np.ndarray | None:
+    """The rows after the header of ``path``, parsed in bulk by
+    :func:`tpflow.floattext.parse_rows`; ``None`` if any part of the file is
+    outside its grammar (see the module docstring).
+
+    The rows are counted first, so the table is allocated once; then the
+    text is parsed in blocks of whole lines of about 256 KiB, so scratch
+    memory does not grow with the row count.
+    """
+    # imported here, so that a run reading no load table neither compiles
+    # the parser nor builds its tables
+    from .floattext import parse_rows
+
+    with open(path, "rb") as fh:
+        if b"\r" in fh.readline():
+            return None  # text mode reads a header that CR ends differently
+        body = fh.tell()
+        # a table outside the grammar only at its end (no last newline, a
+        # blank last line) would be parsed twice, so its end is read first
+        fh.seek(max(body, fh.seek(0, os.SEEK_END) - 2))
+        last = fh.read()
+        if not last.endswith(b"\n") or last == b"\n\n":
+            return None
+        fh.seek(body)
+        read = functools.partial(fh.read, _TEXT_CHUNK)
+        rows = sum(block.count(b"\n") for block in iter(read, b""))
+        if rows == 0:
+            return None
+        table = np.empty((rows, ncols))
+        fh.seek(body)
+        done = 0
+        rest = b""
+        for block in iter(read, b""):
+            text = rest + block
+            cut = text.rfind(b"\n") + 1
+            rest = text[cut:]
+            if not cut:
+                continue
+            part = parse_rows(text[:cut], ncols)
+            if part is None or done + part.shape[0] > rows:
+                return None
+            table[done:done + part.shape[0]] = part
+            done += part.shape[0]
+    # a last line with no newline is outside the grammar
+    return None if rest or done != rows else table
+
+
 def _loadtxt(lines) -> np.ndarray:
     """Comma-separated floats, one row per line; no lines give zero rows.
 
@@ -309,10 +371,12 @@ def read_loads(path) -> LoadMatrix:
                 f"{path}: header {names[:4]}... does not match the expected "
                 f"p_1,q_1,...,p_{b},q_{b} layout"
             )
-        try:
-            arr = _loadtxt(line for line in fh if not line.isspace())
-        except ValueError as exc:
-            raise _bad_line(path, names, exc) from exc
+        arr = _parse_table(path, 2 * b)
+        if arr is None:
+            try:
+                arr = _loadtxt(line for line in fh if not line.isspace())
+            except ValueError as exc:
+                raise _bad_line(path, names, exc) from exc
     if arr.shape[0] == 0:
         raise FileFormatError(f"{path}: no load cases")
     if arr.shape[1] != 2 * b:

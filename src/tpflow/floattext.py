@@ -1,4 +1,4 @@
-"""Byte-exact ``'%.17g'`` text of float arrays, formatted in bulk.
+"""Float tables to and from comma-separated text, in bulk and exactly.
 
 :func:`format_rows` gives the bytes that ``'%.17g' % x`` gives per cell,
 with cells joined by ',' and rows ended by a newline.  It computes each
@@ -7,13 +7,25 @@ cell's 17 significant digits exactly and in bulk: Dekker's two-product of
 That covers zeros and exponents X from -6 to 15, about ``1e-6 <= |x| <
 1e16``.  Any other cell (a subnormal, a tiny or huge magnitude, inf, nan)
 is formatted on its own by ``'%.17g'`` and put into its place.
+
+:func:`parse_rows` goes the other way: it reads such text, in any decimal
+notation of the grammar ``-?D*(.D*)?([eE][+-]?D+)?``, into the doubles that
+``float()`` (and ``np.loadtxt``) give, bit for bit.  Each cell's decimal
+digits become an integer ``m`` and its exponent ``q``; ``m * 10**q`` is
+formed as a double-double with an exact table of ``10**q`` and rounded
+once.  A cell whose rounding the error bound cannot settle (next to a
+midpoint between two doubles), with more than about 19 significant digits
+or of extreme magnitude is parsed on its own by ``float()``.  Text outside
+the grammar is not parsed at all: the caller gets ``None``.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-__all__ = ["format_rows"]
+__all__ = ["format_rows", "parse_rows"]
 
 
 # A cell of the exact range is printed from N, its 17 significant digits as
@@ -186,3 +198,173 @@ def format_rows(block: np.ndarray) -> bytes:
         keep[fallback, _SEPARATOR + 1:] = False
     # np.extract is several times faster here than boolean indexing
     return np.extract(keep, slots).tobytes()
+
+
+# Parsing.  A cell's mantissa is read from a window of _WIDTH bytes ending
+# where the mantissa ends: three little-endian words of 8 digits each, with
+# the bytes before the mantissa and the decimal point cleared to 0, which
+# the digit arithmetic reads as the digit 0.  Its exponent digits are read
+# the same way, as the last word of a window that ends at the separator.
+# The non-digit bytes the grammar allows get a class; every other byte is
+# _OTHER.
+
+_WIDTH = 24
+_COMMA, _NEWLINE, _POINT, _EXP, _SIGN, _OTHER = range(1, 7)
+_CLASS = np.full(256, _OTHER, np.uint8)
+_CLASS[list(b",\n.eE-+")] = _COMMA, _NEWLINE, _POINT, _EXP, _EXP, _SIGN, _SIGN
+_U64_POW10 = np.array([10**k for k in range(20)], np.uint64)
+_Q_MAX = 280  # m * 10**q, m < 10**19, stays far from overflow and subnormals
+
+
+def _window_masks():
+    """Per window word j, ``masks[j][pad * 25 + point]`` keeps the bytes of a
+    mantissa that has ``pad`` bytes before it in the window, except its
+    decimal point at window byte ``point`` (24 for none)."""
+    byte = np.arange(_WIDTH)
+    first = np.arange(_WIDTH + 1)[:, None]  # pad, or point
+    keep = (byte >= first)[:, None] & (byte != first)[None, :]
+    masks = np.where(keep, 0xFF, 0).astype(np.uint8).reshape(-1, _WIDTH)
+    return masks.view(_WORD).T.copy()
+
+
+_WINDOW_MASKS = _window_masks()
+
+
+@functools.cache
+def _pow10():
+    """10**q for q from -_Q_MAX to _Q_MAX as ``hi + lo``: hi the nearest
+    double, lo the nearest double to the rest; and hi's Veltkamp high half.
+
+    Built on first use, with exact integer arithmetic (``int / int`` rounds
+    correctly).  The arrays are read-only.
+    """
+    hi = np.empty(2 * _Q_MAX + 1)
+    lo = np.empty_like(hi)
+    for i, q in enumerate(range(-_Q_MAX, _Q_MAX + 1)):
+        num, den = 10 ** max(q, 0), 10 ** max(-q, 0)
+        hi[i] = h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        lo[i] = (num * h_den - h_num * den) / (den * h_den)
+    hi_hi = _split(hi)[0]
+    for table in (hi, lo, hi_hi):
+        table.flags.writeable = False
+    return hi, lo, hi_hi
+
+
+def _eight_digits(w):
+    """The value of the 8 digits of each little-endian word (SWAR): ASCII
+    digits, or cleared bytes that read as 0."""
+    w = (w & 0x0F0F0F0F0F0F0F0F) * 2561 >> 8
+    w = (w & 0x00FF00FF00FF00FF) * 6553601 >> 16
+    return (w & 0x0000FFFF0000FFFF) * 42949672960001 >> 32
+
+
+def _window_word(words, end, j, mask):
+    """The value of word ``j`` of the windows that end at byte ``end``, its
+    bytes cleared by row ``mask`` of ``_WINDOW_MASKS``."""
+    w = words[end - 8 * (3 - j)]
+    w &= np.take(_WINDOW_MASKS[j], mask)
+    return _eight_digits(w)
+
+
+def parse_rows(text: bytes, ncols: int) -> np.ndarray | None:
+    """The ``n x ncols`` float64 array of ``text``, ``n`` rows of ``ncols``
+    comma-separated cells, each row ended by a newline; ``None`` for any
+    text outside that grammar.
+
+    A cell is ``-?D*(.D*)?([eE][+-]?D+)?`` with at least one mantissa
+    digit.  Any other byte (a space, CR, a leading '+', '_', 'nan', a
+    non-ASCII byte), an empty or extra field or a missing last newline gives
+    ``None``.  Every cell equals ``float(cell)`` bit for bit.
+    """
+    if not text.endswith(b"\n"):
+        return None
+    # '0' bytes ahead of the text keep every window inside the buffer
+    buf = np.frombuffer(b"0" * _WIDTH + text, np.uint8)
+    # the 8 bytes from each offset, as one little-endian word
+    words = np.ndarray((buf.size - 7,), _WORD, buf, strides=(1,))
+    # one scan of the text finds its non-digits; the rest is per field
+    special = np.flatnonzero((buf - np.uint8(48)) > np.uint8(9))
+    cls = np.take(_CLASS, buf[special])
+    if cls.max() == _OTHER:
+        return None
+    sep = np.flatnonzero(cls <= _NEWLINE)
+    rows = sep.size // ncols
+    newline = cls[sep] == _NEWLINE
+    if (sep.size != rows * ncols or np.count_nonzero(newline) != rows
+            or not newline[ncols - 1::ncols].all()):
+        return None
+    ends = special[sep]
+    starts = np.empty_like(ends)
+    starts[0] = _WIDTH
+    starts[1:] = ends[:-1] + 1
+
+    # Walk each field's non-digits in the grammar's order: a '-' first, '.',
+    # 'e', a '+' or '-' right after it.  The field is well formed if the
+    # walk ends at its separator.
+    neg = buf[starts] == ord("-")
+    at = np.empty_like(sep)
+    at[0] = 0
+    at[1:] = sep[:-1] + 1
+    at += neg
+    point = cls[at] == _POINT
+    point_at = special[at]
+    at += point
+    exp = cls[at] == _EXP
+    exp_at = special[at]
+    at += exp
+    sign = np.take(buf, exp_at + 1, mode="clip")
+    exp_neg = exp & (sign == ord("-"))
+    exp_sign = exp_neg | exp & (sign == ord("+"))
+    at += exp_sign
+    mant_end = np.where(exp, exp_at, ends)
+    mant_len = mant_end - starts - neg  # bytes, the point included
+    exp_len = (ends - exp_at - 1 - exp_sign) * exp  # digits
+    # a field with non-digits left, or a part with no digit
+    if ((at != sep) | (mant_len <= point) | (exp_len < exp)).any():
+        return None
+
+    # The mantissa's digits, its point read as a '0', then without it
+    frac = np.where(point, mant_end - 1 - point_at, 0)  # digits after '.'
+    mask = (np.maximum(_WIDTH - mant_len, 0) * 25
+            + np.where(point, 23 - np.minimum(frac, 23), 24))
+    top = _window_word(words, mant_end, 0, mask)
+    digits = (top * 10**16 + _window_word(words, mant_end, 1, mask) * 10**8
+              + _window_word(words, mant_end, 2, mask))
+    after = digits % np.take(_U64_POW10, np.minimum(np.where(point, frac, 19), 19))
+    m = (digits - after) // 10 + after
+    exp_mask = (16 + np.maximum(8 - exp_len, 0)) * 25 + 24
+    e = _window_word(words, ends, 2, exp_mask).view(np.int64)
+    q = np.where(exp_neg, -e, e) - frac
+    alone = ((mant_len > _WIDTH) | (exp_len > 8) | (top >= 1000)
+             | (np.abs(q) > _Q_MAX))
+    np.putmask(m, alone, 0)  # m wrapped around for some; keep casts in range
+
+    # m * 10**q as the double-double h + err: Dekker's two-product gives the
+    # rounding error of h = m_hi * p_hi exactly, and the other partial
+    # products of (m_hi + m_lo) * (p_hi + p_lo) are each about 2**-53 h
+    hi, lo, hi_hi = _pow10()
+    qi = np.clip(q, -_Q_MAX, _Q_MAX) + _Q_MAX
+    m_hi = m.astype(np.float64)
+    m_lo = (m - m_hi.astype(np.uint64)).view(np.int64).astype(np.float64)
+    p_hi = np.take(hi, qi)
+    h = m_hi * p_hi
+    a_hi, a_lo = _split(m_hi)
+    b_hi = np.take(hi_hi, qi)
+    b_lo = p_hi - b_hi
+    err = a_hi * b_hi - h
+    err += a_hi * b_lo
+    err += a_lo * b_hi
+    err += a_lo * b_lo
+    err += m_hi * np.take(lo, qi)
+    err += m_lo * p_hi
+    # m * 10**q lies within 2**-102 h of h + err.  Rounding is monotonic, so
+    # where both ends of the wider interval h + err -+ 2**-98 h round to one
+    # double, so does m * 10**q; where they do not, a midpoint is near.
+    tol = h * 2.0**-98
+    x = h + (err + tol)
+    alone |= x != h + (err - tol)
+    np.negative(x, out=x, where=neg)
+    for i in np.flatnonzero(alone).tolist():
+        x[i] = float(text[starts[i] - _WIDTH:ends[i] - _WIDTH])
+    return x.reshape(rows, ncols)

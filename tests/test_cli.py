@@ -50,6 +50,11 @@ class TestSolve:
         assert meta["converged_cases"] == 25
         assert meta["max_residual"] < 1e-8
         assert meta["wall_seconds"] > 0
+        phases = meta["phase_seconds"]
+        assert set(phases) == {"read_network", "read_loads", "solve",
+                               "write_voltages"}
+        assert all(t > 0 for t in phases.values())
+        assert phases["solve"] == meta["wall_seconds"]
 
     def test_sparse_equals_dense(self, tmp_path, net_path, loads_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

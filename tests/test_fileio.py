@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tpflow import fileio
 from tpflow.bench import BenchRecord
 from tpflow.dense import LoadMatrix, VoltageBatch, batch_solve_dense
 from tpflow.fileio import (
@@ -198,6 +199,55 @@ class TestLoadFiles:
         path = tmp_path / "loads.csv"
         path.write_text("p_1,q_1\n0.1,0.0\n  \t\n0.2,0.1\n")
         assert np.array_equal(read_loads(path).values, [[0.1 + 0.0j, 0.2 + 0.1j]])
+
+
+class TestLoadText:
+    """Cell and line forms of a load table, each read as ``np.loadtxt``
+    reads it, or rejected with the same message."""
+
+    @staticmethod
+    def _read(tmp_path, text: bytes):
+        path = tmp_path / "loads.csv"
+        path.write_bytes(text)
+        return read_loads(path).values
+
+    def test_no_trailing_newline(self, tmp_path):
+        values = self._read(tmp_path, b"p_1,q_1\n0.1,0.2\n0.3,0.4")
+        assert np.array_equal(values, [[0.1 + 0.2j, 0.3 + 0.4j]])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+    def test_rows_straddle_chunk_cuts(self, tmp_path, model, monkeypatch, chunk):
+        monkeypatch.setattr(fileio, "_TEXT_CHUNK", chunk, raising=False)
+        loads = gen_scenarios(model, 40, GenSpec(n_buses=9, seed=5))
+        path = tmp_path / "loads.csv"
+        write_loads(path, loads)
+        assert np.array_equal(read_loads(path).values, loads.values)
+
+    @pytest.mark.parametrize("cell, value", [
+        ("1.", 1.0), (".5", 0.5), ("-.5e-3", -0.0005), ("1E+05", 1e5),
+        ("+1", 1.0), ("-0", -0.0), ("007.50", 7.5), ("1e-400", 0.0),
+        ("4.9406564584124654e-324", 5e-324),
+    ])
+    def test_cell_forms(self, tmp_path, cell, value):
+        values = self._read(tmp_path, f"p_1,q_1\n{cell},{cell}\n".encode())
+        assert values.shape == (1, 1)
+        for part in (values[0, 0].real, values[0, 0].imag):
+            assert part == value and np.signbit(part) == np.signbit(value)
+
+    def test_underscore_rejected(self, tmp_path):
+        with pytest.raises(FileFormatError) as err:
+            self._read(tmp_path, b"p_1,q_1\n1_0,2\n")
+        assert str(err.value).endswith(
+            "loads.csv: line 2: p_1: could not convert string to float: '1_0'")
+
+    def test_overflow_is_non_finite(self, tmp_path):
+        with pytest.raises(FileFormatError) as err:
+            self._read(tmp_path, b"p_1,q_1\n0.1,0.2\n1e400,2\n")
+        assert str(err.value).endswith("loads.csv: line 3: non-finite p_1 = inf")
+
+    def test_non_utf8_byte_rejected(self, tmp_path):
+        with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xff"):
+            self._read(tmp_path, b"p_1,q_1\n0.1,0.2\n0.\xff,2\n")
 
 
 class TestVoltageFiles:
