@@ -55,6 +55,12 @@ class BenchRecord:
 
 @dataclass(frozen=True)
 class BenchConfig:
+    """The cells of a benchmark run and how each is timed.
+
+    ``timeout`` is checked once a cell's solve has returned: a cell that ran
+    longer is recorded as failed.  It does not interrupt a running solve.
+    """
+
     methods: tuple[str, ...] = METHODS
     sizes: tuple[int, ...] = (9, 100)
     taus: tuple[int, ...] = (1, 100)

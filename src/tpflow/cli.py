@@ -267,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--repeats", type=int, default=3)
     p_bench.add_argument("--timeout", type=float, default=300.0,
-                         help="per-cell wall-time cutoff in seconds")
+                         help="seconds; a cell whose solve took longer is "
+                         "recorded as failed (a running solve is not "
+                         "interrupted)")
     p_bench.add_argument("--out", required=True)
     p_bench.add_argument("--meta", default=None)
     _add_solver_flags(p_bench)
@@ -287,7 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, NetworkError, ValueError, MemoryError) as exc:
+    except (FileFormatError, NetworkError, ValueError, MemoryError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,25 +22,25 @@ byte-identical files.  Two writers cover the tables:
 * :func:`write_table` writes the mixed-type tables (bench records, two-bus
   circles and basin) one ``fmt % row`` line at a time.
 
-:func:`read_loads` parses a load table in bulk with
-:func:`tpflow.floattext.parse_rows` when every row after the header is
-comma-separated cells of the grammar ``-?D*(.D*)?([eE][+-]?D+)?``, each row
-ended by a newline: the rows are counted, the table is allocated once, and
-the text is parsed in blocks of whole lines of about 256 KiB.  Any other
-table (CRLF or blank lines, spaces, a leading '+', nan or inf, '_', a
-non-ASCII byte, a wrong field count, no final newline) is read by
-``np.loadtxt`` as before, and only that path reports errors.  Both give each
-cell's correctly rounded double, so they agree bit for bit.
+:func:`read_loads` reads a load table in one forward pass over one binary
+file handle.  The rows are counted, the table is allocated once, and blocks
+of whole lines of about 256 KiB are parsed in bulk by
+:func:`tpflow.floattext.parse_rows` while every row is comma-separated cells
+of the grammar ``-?D*(.D*)?([eE][+-]?D+)?`` ended by a newline.  The first
+block it rejects (CRLF or blank lines, spaces, a leading '+', nan or inf,
+'_', a non-ASCII byte, a wrong field count, no final newline) is the one
+fork: from there the rest of the file goes once to ``np.loadtxt``, split
+into lines as text mode splits them and decoded as UTF-8.  Rows parsed in
+bulk are never read again, and faults are looked for in the rest only.
+Both parsers give each cell's correctly rounded double, so they agree bit
+for bit.
 
 Run metadata is JSON.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
-import os
 import warnings
 from pathlib import Path
 from typing import Any
@@ -252,51 +252,48 @@ def write_loads(path, loads: LoadMatrix) -> None:
 _TEXT_CHUNK = 1 << 18  # 256 KiB of table text per parsed block
 
 
-def _parse_table(path, ncols: int) -> np.ndarray | None:
-    """The rows after the header of ``path``, parsed in bulk by
-    :func:`tpflow.floattext.parse_rows`; ``None`` if any part of the file is
-    outside its grammar (see the module docstring).
+def _lines(path, fh, lineno: int):
+    """Number and text of each line from the position of ``fh`` on, split
+    as text mode splits them: at '\\n', '\\r\\n' or a lone '\\r'.  A line
+    that is not UTF-8 raises a :class:`FileFormatError` that names it."""
+    for raw in fh:
+        for line in raw.splitlines(keepends=True):
+            try:
+                text = line.decode()
+            except UnicodeDecodeError as exc:
+                raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
+            yield lineno, text
+            lineno += 1
 
-    The rows are counted first, so the table is allocated once; then the
-    text is parsed in blocks of whole lines of about 256 KiB, so scratch
-    memory does not grow with the row count.
+
+def _parse_bulk(fh, ncols: int) -> tuple[np.ndarray, int, int]:
+    """A table for the rows from the position of ``fh`` on, the rows parsed
+    into it in bulk, and the file offset of the first line not parsed.
+
+    Blocks of whole lines go to :func:`tpflow.floattext.parse_rows` until
+    it rejects one.  The newlines are counted first, so that the table is
+    allocated once and scratch memory stays bounded by the block.
     """
     # imported here, so that a run reading no load table neither compiles
     # the parser nor builds its tables
     from .floattext import parse_rows
 
-    with open(path, "rb") as fh:
-        if b"\r" in fh.readline():
-            return None  # text mode reads a header that CR ends differently
-        body = fh.tell()
-        # a table outside the grammar only at its end (no last newline, a
-        # blank last line) would be parsed twice, so its end is read first
-        fh.seek(max(body, fh.seek(0, os.SEEK_END) - 2))
-        last = fh.read()
-        if not last.endswith(b"\n") or last == b"\n\n":
-            return None
-        fh.seek(body)
-        read = functools.partial(fh.read, _TEXT_CHUNK)
-        rows = sum(block.count(b"\n") for block in iter(read, b""))
-        if rows == 0:
-            return None
-        table = np.empty((rows, ncols))
-        fh.seek(body)
-        done = 0
-        rest = b""
-        for block in iter(read, b""):
-            text = rest + block
-            cut = text.rfind(b"\n") + 1
-            rest = text[cut:]
-            if not cut:
-                continue
-            part = parse_rows(text[:cut], ncols)
-            if part is None or done + part.shape[0] > rows:
-                return None
-            table[done:done + part.shape[0]] = part
-            done += part.shape[0]
-    # a last line with no newline is outside the grammar
-    return None if rest or done != rows else table
+    start = fh.tell()
+    # numpy counts a byte about three times as fast as bytes.count
+    rows = sum(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+               for block in iter(lambda: fh.read(_TEXT_CHUNK), b""))
+    table = np.empty((rows, ncols))
+    fh.seek(start)
+    done = 0
+    for lines in iter(lambda: fh.readlines(_TEXT_CHUNK), []):
+        text = b"".join(lines)
+        part = parse_rows(text, ncols)
+        if part is None:
+            break
+        table[done:done + len(part)] = part
+        done += len(part)
+        start += len(text)
+    return table, done, start
 
 
 def _loadtxt(lines) -> np.ndarray:
@@ -311,19 +308,6 @@ def _loadtxt(lines) -> np.ndarray:
         return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
-def _data_lines(path):
-    """Physical line number and text of each non-blank line after the header.
-
-    These are the lines ``read_loads`` hands to ``np.loadtxt``, whose own row
-    numbers skip blank lines, so the error paths rescan the file with this.
-    """
-    with open(path) as fh:
-        fh.readline()
-        for lineno, line in enumerate(fh, start=2):
-            if not line.isspace():
-                yield lineno, line
-
-
 def _parses(text: str) -> bool:
     """Whether ``np.loadtxt`` reads ``text``, a line or one field, as numbers."""
     try:
@@ -332,10 +316,10 @@ def _parses(text: str) -> bool:
         return False
 
 
-def _bad_line(path, names: list[str], reason: object) -> FileFormatError:
-    """Name the first line and field of a load table that loadtxt rejected;
-    ``reason`` stands in should no single line be at fault."""
-    for lineno, line in _data_lines(path):
+def _bad_line(path, names: list[str], lines, reason: object) -> FileFormatError:
+    """Name the first of the numbered ``lines`` and its field that loadtxt
+    rejected; ``reason`` stands in should no single line be at fault."""
+    for lineno, line in lines:
         fields = line.split(",")
         if len(fields) != len(names):
             return FileFormatError(
@@ -356,42 +340,59 @@ def read_loads(path) -> LoadMatrix:
     path = Path(path)
     if not path.exists():
         raise FileFormatError(f"{path}: no such file")
-    with open(path) as fh:
-        header = fh.readline().strip()
+    with open(path, "rb") as fh:
+        _, first = next(_lines(path, fh, 1), (1, ""))
+        header = first.strip()
         if not header:
             raise FileFormatError(f"{path}: empty file")
         names = header.split(",")
-        if len(names) % 2 != 0 or not names:
+        b = len(names) // 2
+        if len(names) % 2:
             raise FileFormatError(
                 f"{path}: header must hold p_<node>,q_<node> pairs"
             )
-        b = len(names) // 2
         if header != _pair_header("p", "q", b):
             raise FileFormatError(
                 f"{path}: header {names[:4]}... does not match the expected "
                 f"p_1,q_1,...,p_{b},q_{b} layout"
             )
-        arr = _parse_table(path, 2 * b)
-        if arr is None:
-            try:
-                arr = _loadtxt(line for line in fh if not line.isspace())
-            except ValueError as exc:
-                raise _bad_line(path, names, exc) from exc
-    if arr.shape[0] == 0:
-        raise FileFormatError(f"{path}: no load cases")
-    if arr.shape[1] != 2 * b:
-        # loadtxt takes the field count from the first row
-        raise _bad_line(path, names, f"{arr.shape[1]} fields per row")
-    finite = np.isfinite(arr)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        lineno, _ = next(itertools.islice(_data_lines(path), row, None))
-        raise FileFormatError(
-            f"{path}: line {lineno}: non-finite {names[col]} = {arr[row, col]}"
-        )
+        fh.seek(len(first.encode()))
+        table, done, start = _parse_bulk(fh, 2 * b)
+
+        def rest():
+            """Number and text of each non-blank line not parsed in bulk."""
+            fh.seek(start)
+            return ((n, line) for n, line in _lines(path, fh, 2 + done)
+                    if not line.isspace())
+
+        try:
+            arr = _loadtxt(line for _, line in rest())
+        except ValueError as exc:
+            raise _bad_line(path, names, rest(), exc) from exc
+        if len(arr) and arr.shape[1] != 2 * b:
+            # loadtxt takes the field count from the first row
+            raise _bad_line(path, names, rest(),
+                            f"{arr.shape[1]} fields per row")
+        rows = done + len(arr)
+        if rows == 0:
+            raise FileFormatError(f"{path}: no load cases")
+        if not done:  # loadtxt read every row
+            table = arr
+        elif rows <= len(table):
+            table = table[:rows]
+            table[done:] = arr
+        else:  # lone '\r' line ends, which the newline count missed
+            table = np.concatenate((table[:done], arr))
+        finite = np.isfinite(table)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            lineno = 2 + row if row < done else next(
+                n for k, (n, _) in enumerate(rest(), done) if k == row)
+            raise FileFormatError(f"{path}: line {lineno}: non-finite "
+                                  f"{names[col]} = {table[row, col]}")
     # a C-ordered row of p, q pairs viewed as complex keeps the bits of both
     # parts, -0.0 included, which p + 1j * q would not
-    values = arr.view(np.complex128).T
+    values = table.view(np.complex128).T
     return LoadMatrix(values=values, dims=(values.shape[1],))
 
 

@@ -84,6 +84,19 @@ class TestSolve:
         assert code == 1
         assert "absent.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arg", ["--network", "--loads", "--out"])
+    def test_os_error_named_in_error(self, tmp_path, net_path, loads_path,
+                                     capsys, arg):
+        paths = {"--network": net_path, "--loads": loads_path,
+                 "--out": tmp_path / "v.csv"}
+        # a directory for an input; a file in a missing directory for --out
+        paths[arg] = tmp_path / ("missing/v.csv" if arg == "--out" else "")
+        code = run(["solve", *(x for kv in paths.items() for x in kv)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(paths[arg]) in lines[0]
+
     def test_malformed_loads_report_line(self, tmp_path, net_path, capsys):
         bad = tmp_path / "bad.csv"
         header = ",".join(f"p_{i},q_{i}" for i in range(1, 9))

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tpflow import fileio
 from tpflow.bench import BenchRecord
@@ -201,6 +202,30 @@ class TestLoadFiles:
         assert np.array_equal(read_loads(path).values, [[0.1 + 0.0j, 0.2 + 0.1j]])
 
 
+_CELLS = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda x: st.sampled_from([repr(x), f"{x:.17g}", f"{x:+.17g}", f"{x:e}"]))
+
+
+@st.composite
+def _lenient_tables(draw):
+    """A load table's text mixing grammar rows with lines that only
+    ``np.loadtxt`` reads: CRLF ends, blank or whitespace-only lines, '+'
+    cells, ', ' separators, no final newline."""
+    ncols = 2 * draw(st.integers(1, 3))
+    lines = [",".join(f"{c}_{k}" for k in range(1, ncols // 2 + 1)
+                      for c in "pq")]
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t", " \t "])))
+        sep = draw(st.sampled_from([","] * 4 + [", "]))
+        lines.append(sep.join(draw(st.lists(_CELLS, min_size=ncols,
+                                            max_size=ncols))))
+    ends = draw(st.lists(st.sampled_from(["\n"] * 3 + ["\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
 class TestLoadText:
     """Cell and line forms of a load table, each read as ``np.loadtxt``
     reads it, or rejected with the same message."""
@@ -245,9 +270,61 @@ class TestLoadText:
             self._read(tmp_path, b"p_1,q_1\n0.1,0.2\n1e400,2\n")
         assert str(err.value).endswith("loads.csv: line 3: non-finite p_1 = inf")
 
+    def test_lone_cr_line_ends(self, tmp_path):
+        values = self._read(tmp_path, b"p_1,q_1\r0.1,-0.25\r\r0.3,0.4\r")
+        assert np.array_equal(values, [[0.1 - 0.25j, 0.3 + 0.4j]])
+
+    def test_conversion_fault_before_non_finite(self, tmp_path):
+        with pytest.raises(FileFormatError) as err:
+            self._read(tmp_path, b"p_1,q_1\n0.1,nan\n0.3,hello\n")
+        assert str(err.value).endswith(
+            "loads.csv: line 3: q_1: could not convert string to float: 'hello'")
+
+    def test_non_finite_bulk_row_before_lenient_row(self, tmp_path):
+        with pytest.raises(FileFormatError) as err:
+            self._read(tmp_path, b"p_1,q_1\n1e400,0\n0.3,+1\n")
+        assert str(err.value).endswith("loads.csv: line 2: non-finite p_1 = inf")
+
+    def test_bulk_rows_are_not_read_again(self, tmp_path, model, monkeypatch):
+        # only the last line is outside the grammar: loadtxt sees the rows
+        # of the block that holds it, not the rows parsed before
+        monkeypatch.setattr(fileio, "_TEXT_CHUNK", 1024)
+        path = tmp_path / "loads.csv"
+        write_loads(path, gen_scenarios(model, 40, GenSpec(n_buses=9, seed=5)))
+        head, last = path.read_bytes().rstrip(b"\n").rsplit(b"\n", 1)
+        text = head + b"\n+" + last + b"\n"
+        path.write_bytes(text)
+        seen = []
+        loadtxt = fileio._loadtxt
+
+        def spy(lines):
+            seen.extend(lines)
+            return loadtxt(seen)
+
+        monkeypatch.setattr(fileio, "_loadtxt", spy)
+        read_loads(path)
+        rows = text.decode().splitlines(keepends=True)[1:]
+        assert 0 < len(seen) < len(rows) // 4
+        assert seen == rows[-len(seen):]
+
     def test_non_utf8_byte_rejected(self, tmp_path):
-        with pytest.raises(UnicodeDecodeError, match="can't decode byte 0xff"):
+        with pytest.raises(FileFormatError, match=r"loads\.csv: line 3:") as err:
             self._read(tmp_path, b"p_1,q_1\n0.1,0.2\n0.\xff,2\n")
+        assert "can't decode byte 0xff" in str(err.value)
+
+    @given(_lenient_tables(), st.integers(1, 300))
+    def test_lenient_tables_read_as_loadtxt(self, tmp_path_factory, text,
+                                            chunk):
+        path = tmp_path_factory.getbasetemp() / "lenient.csv"
+        path.write_bytes(text.encode())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileio, "_TEXT_CHUNK", chunk)
+            got = read_loads(path).values
+        rows = [line for line in text.splitlines()[1:] if line.strip()]
+        want = np.loadtxt(rows, delimiter=",", ndmin=2)
+        # bit for bit, the sign of -0.0 included
+        assert np.array_equal(np.ascontiguousarray(got.T).view(np.uint64),
+                              want.view(np.uint64))
 
 
 class TestVoltageFiles:
