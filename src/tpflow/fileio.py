@@ -23,23 +23,24 @@ byte-identical files.  Two writers cover the tables:
   circles and basin) one ``fmt % row`` line at a time.
 
 :func:`read_loads` reads a load table in one forward pass over one binary
-file handle.  The rows are counted, the table is allocated once, and blocks
-of whole lines of about 256 KiB are parsed in bulk by
+file handle.  Blocks of whole lines of about 256 KiB are parsed in bulk by
 :func:`tpflow.floattext.parse_rows` while every row is comma-separated cells
-of the grammar ``-?D*(.D*)?([eE][+-]?D+)?`` ended by a newline.  The first
-block it rejects (CRLF or blank lines, spaces, a leading '+', nan or inf,
-'_', a non-ASCII byte, a wrong field count, no final newline) is the one
-fork: from there the rest of the file goes once to ``np.loadtxt``, split
-into lines as text mode splits them and decoded as UTF-8.  Rows parsed in
-bulk are never read again, and faults are looked for in the rest only.
-Both parsers give each cell's correctly rounded double, so they agree bit
-for bit.
+of the grammar ``-?D*(.D*)?([eE][+-]?D+)?`` ended by a newline; once the
+first block is parsed, the rows after it are counted and the table is
+allocated once.  The first block it rejects (CRLF or blank lines, spaces, a
+leading '+', nan or inf, '_', a non-ASCII byte, a wrong field count, no
+final newline) is the one fork: from there the rest of the file goes once
+to ``np.loadtxt``, split into lines as text mode splits them and decoded as
+UTF-8.  Rows parsed in bulk are never read again, and a fault is looked for
+in the rest only, by bisection.  Both parsers give each cell's correctly
+rounded double, so they agree bit for bit.
 
 Run metadata is JSON.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import warnings
 from pathlib import Path
@@ -271,29 +272,39 @@ def _parse_bulk(fh, ncols: int) -> tuple[np.ndarray, int, int]:
     into it in bulk, and the file offset of the first line not parsed.
 
     Blocks of whole lines go to :func:`tpflow.floattext.parse_rows` until
-    it rejects one.  The newlines are counted first, so that the table is
-    allocated once and scratch memory stays bounded by the block.
+    it rejects one.  Once the first block is accepted, the newlines after it
+    are counted, so that the table is allocated once and scratch memory
+    stays bounded by the block; a table rejected at its first block is not
+    counted at all.
     """
     # imported here, so that a run reading no load table neither compiles
     # the parser nor builds its tables
     from .floattext import parse_rows
 
     start = fh.tell()
-    # numpy counts a byte about three times as fast as bytes.count
-    rows = sum(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-               for block in iter(lambda: fh.read(_TEXT_CHUNK), b""))
-    table = np.empty((rows, ncols))
-    fh.seek(start)
+    table = np.empty((0, ncols))
     done = 0
     for lines in iter(lambda: fh.readlines(_TEXT_CHUNK), []):
         text = b"".join(lines)
         part = parse_rows(text, ncols)
         if part is None:
             break
+        if not done:
+            table = np.empty((len(part) + _count_newlines(fh), ncols))
         table[done:done + len(part)] = part
         done += len(part)
         start += len(text)
     return table, done, start
+
+
+def _count_newlines(fh) -> int:
+    """The '\\n' bytes from the position of ``fh`` on, which it keeps."""
+    here = fh.tell()
+    # numpy counts a byte about three times as fast as bytes.count
+    rows = sum(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+               for block in iter(lambda: fh.read(_TEXT_CHUNK), b""))
+    fh.seek(here)
+    return rows
 
 
 def _loadtxt(lines) -> np.ndarray:
@@ -309,7 +320,7 @@ def _loadtxt(lines) -> np.ndarray:
 
 
 def _parses(text: str) -> bool:
-    """Whether ``np.loadtxt`` reads ``text``, a line or one field, as numbers."""
+    """Whether ``np.loadtxt`` reads ``text``, one field, as a number."""
     try:
         return _loadtxt([text]).size > 0
     except ValueError:
@@ -318,22 +329,57 @@ def _parses(text: str) -> bool:
 
 def _bad_line(path, names: list[str], lines, reason: object) -> FileFormatError:
     """Name the first of the numbered ``lines`` and its field that loadtxt
-    rejected; ``reason`` stands in should no single line be at fault."""
-    for lineno, line in lines:
+    rejected; ``reason`` stands in should no single line be at fault.
+
+    Whether the first k lines read as a table of ``len(names)`` columns is
+    monotone in k, and once the first ``good`` lines are known to read, the
+    first k read if and only if lines ``good`` to k do.  So segments of
+    doubling length are read in turn up to the first that does not, and the
+    line at fault is found by bisecting that one: about 2 log2(p) loadtxt
+    calls for a fault at line p, over no more than 2p lines.  A line that is
+    not UTF-8 ends the lines; its error is raised if none before it is at
+    fault.
+    """
+    numbered: list[tuple[int, str]] = []
+    undecodable = None
+    rest = iter(lines)
+
+    def reads(lo: int, hi: int) -> bool:
+        try:
+            table = _loadtxt([line for _, line in numbered[lo:hi]])
+        except ValueError:
+            return False
+        return table.shape[1] == len(names)
+
+    # the first `good` lines read; if bad > good, the first `bad` do not
+    good = bad = 0
+    while bad == good and undecodable is None:
+        try:
+            numbered.extend(itertools.islice(rest, max(good, 1)))
+        except FileFormatError as exc:
+            undecodable = exc
+        if len(numbered) == good:
+            break
+        bad = len(numbered)
+        if reads(good, bad):
+            good = bad
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        good, bad = (mid, bad) if reads(good, mid) else (good, mid)
+    for lineno, line in numbered[good:bad]:
         fields = line.split(",")
         if len(fields) != len(names):
             return FileFormatError(
                 f"{path}: line {lineno}: expected {len(names)} fields, "
                 f"got {len(fields)}"
             )
-        if not _parses(line):
-            for name, field in zip(names, fields):
-                if not _parses(field):
-                    return FileFormatError(
-                        f"{path}: line {lineno}: {name}: could not convert "
-                        f"string to float: {field.strip()!r}"
-                    )
-    return FileFormatError(f"{path}: {reason}")
+        for name, field in zip(names, fields):
+            if not _parses(field):
+                return FileFormatError(
+                    f"{path}: line {lineno}: {name}: could not convert "
+                    f"string to float: {field.strip()!r}"
+                )
+    return undecodable or FileFormatError(f"{path}: {reason}")
 
 
 def read_loads(path) -> LoadMatrix:

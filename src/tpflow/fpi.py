@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .network import NetworkModel
 
@@ -72,7 +71,13 @@ def factorize(matrix):
     ``solve`` accepts one or many right-hand sides.  Singular input raises
     :class:`SingularSystemError` naming structurally empty rows/columns when
     those are the cause.
+
+    ``scipy.sparse.linalg``, and with it ``scipy.linalg``, is imported on
+    the first call: about 90 modules that a run factorizing nothing, such as
+    a dense batch, never loads.
     """
+    from scipy.sparse.linalg import splu
+
     global _factorizations
     m = matrix.tocsc().astype(complex, copy=False)
     if m.shape[0] != m.shape[1]:

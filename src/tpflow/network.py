@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "Branch",
@@ -112,11 +111,27 @@ class PartitionedAdmittance:
         return self.y_dd.shape[0]
 
 
-def _branch_graph(branches, n_buses: int) -> sparse.csr_matrix:
-    """Bus adjacency of ``branches``, for the walks of scipy.sparse.csgraph."""
-    ends = [(br.from_bus, br.to_bus) for br in branches]
-    i, j = np.array(ends, dtype=int).reshape(-1, 2).T
-    return sparse.csr_matrix((np.ones(len(ends)), (i, j)), shape=(n_buses, n_buses))
+def _components(n: int, edges) -> tuple[int, np.ndarray]:
+    """Connected components of the undirected graph on nodes 0..n-1 with
+    ``edges``, an iterable of node pairs: their count and each node's label.
+
+    Union-find that keeps the lowest node of a component as its root, so
+    components are numbered in the order of their lowest node, as
+    ``scipy.sparse.csgraph.connected_components`` numbers them.
+    """
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]  # path halving
+            x = root[x]
+        return x
+
+    for a, b in edges:
+        a, b = find(a), find(b)
+        root[max(a, b)] = min(a, b)
+    roots, labels = np.unique([find(x) for x in range(n)], return_inverse=True)
+    return len(roots), labels
 
 
 def build_admittance(branches: list[Branch] | tuple[Branch, ...], n_buses: int) -> PartitionedAdmittance:
@@ -139,8 +154,8 @@ def build_admittance(branches: list[Branch] | tuple[Branch, ...], n_buses: int) 
             raise NetworkError(
                 f"negative resistance on branch {br.from_bus}-{br.to_bus}"
             )
-    _, labels = connected_components(_branch_graph(branches, n_buses), directed=False)
-    missing = np.flatnonzero(labels != labels[0]).tolist()
+    _, labels = _components(n_buses, ((br.from_bus, br.to_bus) for br in branches))
+    missing = np.flatnonzero(labels).tolist()  # bus 0's component is label 0
     if missing:
         raise NetworkError(f"disconnected network: unreachable buses {missing}")
 
@@ -162,8 +177,8 @@ def radial_check(branches, n_buses: int) -> bool:
     """True iff the branch graph is a spanning tree (connected, n-1 edges)."""
     if len(branches) != n_buses - 1:
         return False
-    graph = _branch_graph(branches, n_buses)
-    return connected_components(graph, directed=False)[0] == 1
+    ends = ((br.from_bus, br.to_bus) for br in branches)
+    return _components(n_buses, ends)[0] == 1
 
 
 @dataclass(frozen=True)
@@ -239,13 +254,16 @@ def validate(model: NetworkModel) -> list[str]:
     component of the Y_dd pattern must hold a node with a nonzero Y_ds entry
     (an unfed component is reported by its 0-based demand nodes), Y_dd must
     be symmetric and it must factorize.  Diagnostics are reports, not
-    exceptions.
+    exceptions.  The components come from the labeller that checks
+    :func:`build_admittance`; only the factorization needs scipy's sparse
+    LU, which :func:`tpflow.fpi.factorize` loads on its first call.
     """
     from .fpi import SingularSystemError, factorize
 
     diags: list[str] = []
     adm = model.admittance
-    n_comp, labels = connected_components(adm.y_dd != 0, directed=False)
+    i, j = adm.y_dd.nonzero()
+    n_comp, labels = _components(adm.n_demand, zip(i.tolist(), j.tolist()))
     fed = np.zeros(n_comp, dtype=bool)
     fed[labels[adm.y_ds.nonzero()[0]]] = True
     for comp in np.flatnonzero(~fed):

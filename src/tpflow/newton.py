@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .fpi import SolveOptions, SolveResult, power_residual, start_voltage, zip_power
 from .network import NetworkModel
@@ -58,6 +57,9 @@ def nr_solve(
     |v| ~ 1e22, to non-finite values or to the iteration cap, never to a
     root, so stepping them on only costs time.
     """
+    # imported here, so that only a run using Newton loads scipy's LU stack
+    from scipy.sparse.linalg import splu
+
     s = np.asarray(s, dtype=complex).ravel()
     b = model.n_demand
     if s.shape[0] != b:

@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import breadth_first_order
+from scipy import sparse
 
 from .dense import LoadMatrix
 from .fpi import factorize
-from .network import Branch, NetworkModel, _branch_graph, radial_check
+from .network import Branch, NetworkModel, radial_check
 
 __all__ = ["GenSpec", "gen_kary_tree", "assign_impedances", "gen_scenarios",
            "build_network"]
@@ -106,7 +106,12 @@ def _max_thevenin(model: NetworkModel) -> float:
     if model.branches and radial_check(model.branches, n_buses) and all(
         br.b_shunt == 0 for br in model.branches
     ):
-        graph = _branch_graph(model.branches, n_buses)
+        # imported here: scipy's graph package loads its sparse LU stack too
+        from scipy.sparse.csgraph import breadth_first_order
+
+        ends = np.array([(br.from_bus, br.to_bus) for br in model.branches]).T
+        graph = sparse.csr_matrix((np.ones(ends.shape[1]), tuple(ends)),
+                                  shape=(n_buses, n_buses))
         order, parent = breadth_first_order(graph, 0, directed=False)
         z = {(br.from_bus, br.to_bus): complex(br.r, br.x) for br in model.branches}
         z.update({(j, i): z_ij for (i, j), z_ij in z.items()})

@@ -307,6 +307,59 @@ class TestLoadText:
         assert 0 < len(seen) < len(rows) // 4
         assert seen == rows[-len(seen):]
 
+    @pytest.mark.parametrize("end, counts", [(b"\n", 1), (b"\r\n", 0)])
+    def test_newlines_counted_after_first_block(self, tmp_path, model,
+                                                monkeypatch, end, counts):
+        # a CRLF table is rejected at its first block, so nothing sizes a
+        # table for bulk rows that will never come
+        path = tmp_path / "loads.csv"
+        loads = gen_scenarios(model, 40, GenSpec(n_buses=9, seed=5))
+        write_loads(path, loads)
+        path.write_bytes(path.read_bytes().replace(b"\n", end))
+        calls = []
+        count = fileio._count_newlines
+        monkeypatch.setattr(fileio, "_count_newlines",
+                            lambda fh: calls.append(fh) or count(fh))
+        assert np.array_equal(read_loads(path).values, loads.values)
+        assert len(calls) == counts
+
+    @pytest.mark.parametrize("row", [2, 4997])
+    def test_fault_found_by_bisection(self, tmp_path, monkeypatch, row):
+        n = 5000
+        rows = [b"%d.5,-%d.25" % (k, k) for k in range(n)]
+        rows[row] = b"1.5,hello"
+        path = tmp_path / "loads.csv"
+        path.write_bytes(b"\r\n".join([b"p_1,q_1", *rows, b""]))
+        calls = []  # lines handed over in a list; the first call streams them
+        loadtxt = fileio._loadtxt
+        monkeypatch.setattr(fileio, "_loadtxt", lambda lines: calls.append(
+            len(lines) if isinstance(lines, list) else 0) or loadtxt(lines))
+        with pytest.raises(FileFormatError) as err:
+            read_loads(path)
+        assert str(err.value).endswith(
+            f"loads.csv: line {row + 2}: q_1: could not convert string to "
+            "float: 'hello'")
+        assert len(calls) <= 2 * int(np.ceil(np.log2(n))) + 4
+        # an early fault is found without reading the rest of the table
+        assert sum(calls) <= 3 * (row + 1)
+
+    @pytest.mark.parametrize("text, message", [
+        # field count first, then the field that fails, on the first line
+        # at fault; a line that is not UTF-8 only if none before it is
+        (b"1,2\r\n3\r\n4,x\r\n", "line 3: expected 2 fields, got 1"),
+        (b"1,2\r\n3,x,5\r\n4\r\n", "line 3: expected 2 fields, got 3"),
+        (b"1,2\r\n3,x\r\n4\r\n", "line 3: q_1: could not convert string to "
+                                 "float: 'x'"),
+        (b"1\r\n2\r\n", "line 2: expected 2 fields, got 1"),
+        (b"1,2\r\n3,4\r\n5,\xff\r\n6\r\n", "line 4: 'utf-8' codec can't "
+                                           "decode byte 0xff"),
+        (b"1,2\r\n3\r\n5,\xff\r\n", "line 3: expected 2 fields, got 1"),
+    ])
+    def test_first_fault_named(self, tmp_path, text, message):
+        with pytest.raises(FileFormatError) as err:
+            self._read(tmp_path, b"p_1,q_1\r\n" + text)
+        assert f"loads.csv: {message}" in str(err.value)
+
     def test_non_utf8_byte_rejected(self, tmp_path):
         with pytest.raises(FileFormatError, match=r"loads\.csv: line 3:") as err:
             self._read(tmp_path, b"p_1,q_1\n0.1,0.2\n0.\xff,2\n")

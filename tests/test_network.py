@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from tpflow.network import (
     Branch,
@@ -7,6 +10,7 @@ from tpflow.network import (
     NetworkModel,
     SlackSpec,
     ZipCoefficients,
+    _components,
     build_admittance,
     radial_check,
     validate,
@@ -76,6 +80,27 @@ def test_disconnected_graph_rejected():
     # buses 3 and 4 are two islands of one bus each: both are named
     with pytest.raises(NetworkError, match=r"unreachable buses \[3, 4\]$"):
         build_admittance(chain(3), 5)
+
+
+@st.composite
+def _edge_lists(draw):
+    """A node count and edges among the nodes: isolated nodes, self-loops,
+    duplicates and both directions of one edge all occur."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=2 * n))
+
+
+@given(_edge_lists())
+def test_components_match_csgraph(graph):
+    n, edges = graph
+    i, j = np.array(edges, dtype=int).reshape(-1, 2).T
+    adjacency = sparse.csr_matrix((np.ones(len(edges)), (i, j)), shape=(n, n))
+    want_count, want = connected_components(adjacency, directed=False)
+    count, labels = _components(n, edges)
+    # the same count and the same numbering: by each component's lowest node
+    assert count == want_count
+    assert labels.tolist() == want.tolist()
 
 
 def test_zero_impedance_branch_rejected():
