@@ -5,7 +5,7 @@ model, a Newton-Raphson cross-check, a two-bus solvability lab, synthetic
 network/scenario generators and a benchmark harness with complexity fitting.
 
 The names here are the ones a user calls; return types and plumbing
-(``VoltageBatch``, ``FpiMatrices``, ``factorize`` and the like) stay
+(``VoltageBatch``, ``SolveResult``, ``factorize`` and the like) stay
 importable from their modules.
 """
 
@@ -32,7 +32,7 @@ from .network import (
     ZipCoefficients,
     validate,
 )
-from .newton import nr_iteration_count, nr_solve
+from .newton import nr_solve
 from .sparse import batch_solve_sparse
 from .synth import GenSpec, build_network, gen_scenarios
 from .twobus import (
@@ -67,7 +67,6 @@ __all__ = [
     "batch_solve_dense",
     "batch_solve_sparse",
     "nr_solve",
-    "nr_iteration_count",
     "TwoBusSystem",
     "closed_form_solutions",
     "load_circles",

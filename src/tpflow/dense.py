@@ -9,9 +9,10 @@ with Z_B = Y_dd^(-1) materialized once (dense); W is the no-load voltage
 broadcast across columns when there is no constant-current share.  One GEMM
 per iteration does the work of many independent solves.  The batch driver
 shared with the sparse path lives here too: it walks the columns in chunks
-of a fixed byte budget, so scratch memory does not grow with tau, and sends
-models with a constant-impedance share (``alpha_z != 0``, a different B per
-case) through the per-case loop.
+of a fixed byte budget, so scratch memory does not grow with tau, solving
+each chunk with :func:`tpflow.fpi.solve_chunk` (the single-case solver's own
+chunk solve), and sends models with a constant-impedance share
+(``alpha_z != 0``, a different B per case) through the per-case loop.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fpi import (
-    SolveOptions, fixed_point, fpi_solve, residual_per_case, start_voltage,
-)
+from .fpi import SolveOptions, fpi_solve, solve_chunk
 from .network import NetworkModel
 
 __all__ = [
@@ -108,12 +107,6 @@ class VoltageBatch:
     def tau(self) -> int:
         return self.values.shape[1]
 
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.values)
-
-    def angles(self) -> np.ndarray:
-        return np.angle(self.values)
-
 
 def reshape_tensor(tensor: PowerTensor) -> LoadMatrix:
     """Flatten all batch dimensions; the node axis becomes the row axis."""
@@ -160,10 +153,9 @@ def solve_columns(
 
     ``make_z(y_dd)`` returns the map applying ``Z_B = Y_dd^(-1)`` to a
     b x tau array; it is built once per batch.  With no constant-impedance
-    share (``alpha_z = 0``, so ``B = Y_dd`` for every case) the columns run
-    through :func:`tpflow.fpi.fixed_point` with ``a = -alpha_p . s*`` and
-    ``w = Z_B(-(Y_ds v_s + alpha_i . s*))``, the single-case solver's own
-    terms, started from :func:`tpflow.fpi.start_voltage`.  A model with some
+    share (``alpha_z = 0``, so ``B = Y_dd`` for every case) each chunk of
+    columns runs through :func:`tpflow.fpi.solve_chunk`, the single-case
+    solver's own terms, iteration and converged rule.  A model with some
     ``alpha_z != 0`` has a different ``B`` per case and goes case by case
     through :func:`tpflow.fpi.fpi_solve`.
 
@@ -177,51 +169,33 @@ def solve_columns(
     in it is left, or to ``opts.max_iterations``.  A stalled column thus
     costs one column's work per iteration, not its chunk's.  ``iterations``
     is the max over the chunks, so when steps shrink it is the max of the
-    per-case counts.  A case is converged when its step met the tolerance
-    and its power residual is under ``opts.residual_tolerance``.
+    per-case counts.
     """
     if loads.n_demand != model.n_demand:
         raise ValueError(
             f"load matrix has {loads.n_demand} rows, model has {model.n_demand}"
         )
-    zc = model.zip
-    if zc.alpha_z.any():
+    if model.zip.alpha_z.any():
         return solve_cases(fpi_solve, model, loads, opts)
 
     b, tau = loads.values.shape
     apply_z = make_z(model.admittance.y_dd)
-    src = model.source_injection()[:, None]
-    neg_p = -zc.alpha_p[:, None]
-    alpha_i = zc.alpha_i[:, None] if zc.alpha_i.any() else None
-    if alpha_i is None:
-        # the no-load voltage, shared by every column
-        w = apply_z(-src)
     mask = np.empty(tau, dtype=bool)
     residuals = np.empty(tau)
     iterations = 0
     width = max(1, _CHUNK_BYTES // (16 * b))
     for start in range(0, tau, width):
         cols = slice(start, min(start + width, tau))
-        s = loads.values[:, cols]
-        # s* in Fortran order, then scaled in place to a = -alpha_p . s*
-        a = np.conjugate(s, out=np.empty(s.shape, dtype=complex, order="F"))
-        if alpha_i is not None:
-            # a constant-current share makes w one column per case
-            w = apply_z(-(src + alpha_i * a))
-        a *= neg_p
-        run = fixed_point(
-            apply_z, a, w, start_voltage(model, opts, cols.stop - start),
-            opts.tolerance, opts.max_iterations,
+        run, res, converged = solve_chunk(
+            model, loads.values[:, cols], apply_z, opts
         )
-        with np.errstate(invalid="ignore", over="ignore"):
-            res = residual_per_case(model, run.v, s)
         if start == 0:
             # allocated once the first chunk's scratch is free; allocated
             # before it, glibc returned that scratch to the OS and faulted it
             # back on every call (+15% on a 100-node, 100-case batch)
             v = np.empty((b, tau), dtype=complex)
         v[:, cols] = run.v
-        mask[cols] = (run.first_converged > 0) & (res < opts.residual_tolerance)
+        mask[cols] = converged
         residuals[cols] = res
         iterations = max(iterations, run.iterations)
     return VoltageBatch(

@@ -16,7 +16,10 @@ reciprocal.  F and w are applied through a single LU factorization of B.
 
 Every fixed-point path in the package (this solver, the dense and sparse
 batches and the two-bus basin scan) runs the same update through
-:func:`fixed_point`; they differ only in how they apply ``B^(-1)``.
+:func:`fixed_point`; they differ only in how they apply ``B^(-1)``.  The
+single-case solver and the batch driver share one chunk solve,
+:func:`solve_chunk`, which builds ``a`` and ``w``, iterates and decides
+which cases converged.
 """
 
 from __future__ import annotations
@@ -32,11 +35,9 @@ from .network import NetworkModel
 __all__ = [
     "SolveOptions",
     "SolveResult",
-    "FpiMatrices",
     "SingularSystemError",
     "factorize",
     "factorization_count",
-    "assemble_fpi",
     "fpi_solve",
     "power_residual",
     "contraction_estimate",
@@ -64,7 +65,7 @@ def factorize(matrix):
     """Fill-reducing ordering, symbolic analysis and numeric factorization.
 
     The package's one sparse LU apart from Newton's Jacobian:
-    :func:`assemble_fpi`, the sparse batch path, :func:`tpflow.network.validate`
+    :func:`fpi_solve`, the sparse batch path, :func:`tpflow.network.validate`
     and the Thevenin read-off in :mod:`tpflow.synth` all call it.
     ``matrix`` is a square scipy sparse matrix, converted to complex CSC
     unless it already is.  Returns scipy's ``SuperLU`` object, whose
@@ -109,11 +110,13 @@ class SolveOptions:
     max_iterations: int = 100
     initial_voltage: np.ndarray | None = None
     residual_tolerance: float = 1e-8
-    compute_contraction: bool = False
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
+        # written as ``not x > 0`` so that NaN is rejected too
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
+        if not self.residual_tolerance > 0:
+            raise ValueError("residual_tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -126,48 +129,20 @@ class SolveResult:
     iterations: int
     converged: bool
     residual: float
-    contraction_k: float | None = None
     diagnostic: str | None = None
-    # per-iteration max-norm and 1-norm step sizes, for convergence analysis
+    # per-iteration max-norm step sizes, for convergence analysis
     step_inf: np.ndarray = field(default_factory=lambda: np.empty(0))
-    step_l1: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-@dataclass
-class FpiMatrices:
-    """Constant terms of the iteration for one operating point.
-
-    ``a`` is the diagonal of A; ``F`` is available explicitly via
-    :meth:`f_dense` but the solver applies it through ``lu``.
-    """
-
-    a: np.ndarray
-    B: sparse.csc_matrix
-    c: np.ndarray
-    w: np.ndarray
-    lu: object
-
-    def f_dense(self) -> np.ndarray:
-        """Materialize F = -B^(-1) diag(a) (small systems / inspection)."""
-        return -self.lu.solve(np.diag(self.a).astype(complex))
-
-
-def assemble_fpi(model: NetworkModel, s: np.ndarray) -> FpiMatrices:
-    """Build A, B, c, F, w for demand powers ``s`` (consumption positive)."""
-    s = np.asarray(s, dtype=complex).ravel()
+def _factorize_b(model: NetworkModel, s: np.ndarray):
+    """LU of ``B = diag(alpha_z . s*) + Y_dd`` for the b-vector ``s``."""
     b = model.n_demand
     if s.shape[0] != b:
         raise ValueError(f"load vector sized {s.shape[0]}, expected {b}")
-    zc = model.zip
-    sc = np.conj(s)
-    a = zc.alpha_p * sc
     B = model.admittance.y_dd
-    if zc.alpha_z.any():
-        B = sparse.diags(zc.alpha_z * sc) + B
-    c = model.source_injection() + zc.alpha_i * sc
-    lu = factorize(B)
-    w = -lu.solve(c.astype(complex))
-    return FpiMatrices(a=a, B=B, c=c, w=w, lu=lu)
+    if model.zip.alpha_z.any():
+        B = sparse.diags(model.zip.alpha_z * np.conj(s)) + B
+    return factorize(B)
 
 
 def start_voltage(
@@ -200,10 +175,9 @@ class FixedPointRun:
     first_converged: np.ndarray
     non_finite: np.ndarray  # the column left the run on a non-finite step
     guarded_at: int  # last iteration the zero-voltage guard fired, 0 if none
-    # max and sum of |dv| over the columns still iterating at each step; a
-    # column's non-finite step shows only at the iteration it left on
+    # max of |dv| over the columns still iterating at each step; a column's
+    # non-finite step shows only at the iteration it left on
     step_inf: list[float]
-    step_l1: list[float]
 
 
 def fixed_point(
@@ -236,7 +210,6 @@ def fixed_point(
     live = np.arange(tau)  # the column of ``out`` each working column fills
     u = np.empty_like(v)
     step_inf: list[float] = []
-    step_l1: list[float] = []
     guarded_at = n = 0
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         while n < max_iterations:
@@ -251,13 +224,11 @@ def fixed_point(
             v_next += w
             # the old iterate's storage takes the step, then the next scratch
             np.subtract(v_next, v, out=v)
-            dv = np.abs(v)
-            col = dv.max(axis=0)
+            col = np.abs(v).max(axis=0)
             met = pending & (col < tolerance)
             first[live[met]] = n
             pending &= np.isfinite(col) & ~met
             step_inf.append(float(col.max()))
-            step_l1.append(float(dv.sum()))
             u, v = v, v_next
             if pending.all():
                 continue
@@ -280,8 +251,43 @@ def fixed_point(
     non_finite[live] = False
     return FixedPointRun(
         v=out, iterations=n, first_converged=first, non_finite=non_finite,
-        guarded_at=guarded_at, step_inf=step_inf, step_l1=step_l1,
+        guarded_at=guarded_at, step_inf=step_inf,
     )
+
+
+def solve_chunk(
+    model: NetworkModel, s: np.ndarray, apply_z, opts: SolveOptions
+) -> tuple[FixedPointRun, np.ndarray, np.ndarray]:
+    """Solve the b x m loads ``s`` with ``apply_z`` applying ``B^(-1)``.
+
+    Runs :func:`fixed_point` from :func:`start_voltage` with
+    ``a = -alpha_p . s*`` and ``w = B^(-1)(-(Y_ds v_s + alpha_i . s*))``;
+    with no constant-current share ``w`` is the no-load voltage, one b x 1
+    column shared by every case.  ``apply_z`` must account for any
+    constant-impedance share in ``B``.  Returns the run, the power residual
+    of each case and the converged mask: a case is converged when its step
+    met ``opts.tolerance`` and its residual is under
+    ``opts.residual_tolerance``.
+    """
+    zc = model.zip
+    src = model.source_injection()[:, None]
+    # s* in Fortran order, then scaled in place to a = -alpha_p . s*
+    a = np.conjugate(s, out=np.empty(s.shape, dtype=complex, order="F"))
+    if zc.alpha_i.any():
+        # a constant-current share makes w one column per case
+        w = apply_z(-(src + zc.alpha_i[:, None] * a))
+    else:
+        # the no-load voltage, shared by every column
+        w = apply_z(-src)
+    a *= -zc.alpha_p[:, None]
+    run = fixed_point(
+        apply_z, a, w, start_voltage(model, opts, s.shape[1]),
+        opts.tolerance, opts.max_iterations,
+    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        residuals = residual_per_case(model, run.v, s)
+    converged = (run.first_converged > 0) & (residuals < opts.residual_tolerance)
+    return run, residuals, converged
 
 
 def fpi_solve(
@@ -289,39 +295,26 @@ def fpi_solve(
 ) -> SolveResult:
     """Fixed-point iteration until max|dv| < tolerance or the iteration cap.
 
-    The tau = 1 case of :func:`fixed_point`, applying ``B^(-1)`` through the
+    The tau = 1 case of :func:`solve_chunk`, applying ``B^(-1)`` through the
     LU of B.  Convergence is confirmed by a mandatory power-residual
     post-check; non-convergence is reported in the result, not raised.
     """
     s = np.asarray(s, dtype=complex).ravel()
-    mats = assemble_fpi(model, s)
-    run = fixed_point(
-        mats.lu.solve, -mats.a[:, None], mats.w[:, None],
-        start_voltage(model, opts), opts.tolerance, opts.max_iterations,
+    run, residuals, converged = solve_chunk(
+        model, s[:, None], _factorize_b(model, s).solve, opts
     )
-    v = run.v[:, 0]
     diagnostic = None
     if run.non_finite[0]:
         diagnostic = f"diverged: non-finite iterate at iteration {run.iterations}"
     elif run.guarded_at:
         diagnostic = f"zero-voltage guard applied at iteration {run.guarded_at}"
-
-    with np.errstate(invalid="ignore", over="ignore"):
-        residual = power_residual(model, v, s)
-    converged = bool(run.first_converged[0]) and residual < opts.residual_tolerance
-    k = None
-    if opts.compute_contraction and np.all(np.isfinite(v.view(float))):
-        # A = 0 makes the map constant, so it contracts with k = 0
-        k = _contraction(mats.lu, v, s) if mats.a.any() else 0.0
     return SolveResult(
-        v=v,
+        v=run.v[:, 0],
         iterations=run.iterations,
-        converged=converged,
-        residual=residual,
-        contraction_k=k,
+        converged=bool(converged[0]),
+        residual=float(residuals[0]),
         diagnostic=diagnostic,
         step_inf=np.array(run.step_inf),
-        step_l1=np.array(run.step_l1),
     )
 
 
@@ -378,11 +371,7 @@ def contraction_estimate(
     k < 1 certifies the iteration is a contraction at the solution.
     """
     s = np.asarray(s, dtype=complex).ravel()
-    return _contraction(assemble_fpi(model, s).lu, v, s)
-
-
-def _contraction(lu, v: np.ndarray, s: np.ndarray) -> float:
-    """:func:`contraction_estimate` through ``lu``, the LU of B at ``s``."""
+    lu = _factorize_b(model, s)
     v = np.asarray(v, dtype=complex).ravel()
     if np.any(np.abs(v) == 0):
         raise ValueError("contraction estimate requires nonzero voltages")

@@ -14,7 +14,7 @@ from scipy import sparse
 from .fpi import SolveOptions, SolveResult, power_residual, start_voltage, zip_power
 from .network import NetworkModel
 
-__all__ = ["nr_solve", "nr_iteration_count"]
+__all__ = ["nr_solve"]
 
 # Divergence: the max mismatch stays this many times above the best one seen
 # for this many iterations running (see nr_solve).
@@ -121,16 +121,3 @@ def nr_solve(
         # max power mismatch per iterate, for convergence-rate analysis
         step_inf=np.array(history),
     )
-
-
-def nr_iteration_count(
-    model: NetworkModel, s: np.ndarray, opts: SolveOptions = SolveOptions()
-) -> int:
-    """Iterations Newton needed; raises if the case did not converge."""
-    res = nr_solve(model, s, opts)
-    if not res.converged:
-        raise RuntimeError(
-            f"Newton did not converge: residual {res.residual:.3e}"
-            + (f" ({res.diagnostic})" if res.diagnostic else "")
-        )
-    return res.iterations

@@ -97,6 +97,15 @@ class TestSolve:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert str(paths[arg]) in lines[0]
 
+    def test_nan_tolerance_rejected(self, tmp_path, net_path, loads_path, capsys):
+        code = run([
+            "solve", "--network", net_path, "--loads", loads_path,
+            "--tol", "nan", "--out", tmp_path / "v.csv",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: tolerance must be positive\n"
+        assert not (tmp_path / "v.csv").exists()
+
     def test_malformed_loads_report_line(self, tmp_path, net_path, capsys):
         bad = tmp_path / "bad.csv"
         header = ",".join(f"p_{i},q_{i}" for i in range(1, 9))

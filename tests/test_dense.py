@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import spsolve
 
 from tpflow import dense
@@ -17,6 +18,7 @@ from tpflow.fpi import SolveOptions, factorization_count, fpi_solve
 from tpflow.network import NetworkModel, ZipCoefficients
 from tpflow.newton import nr_solve
 from tpflow.sparse import batch_solve_sparse
+from tpflow.synth import GenSpec, build_network, gen_scenarios
 
 from conftest import feasible_batch, two_bus_model
 
@@ -177,6 +179,11 @@ class TestBatchSolve:
             single = fpi_solve(model, loads.values[:, j])
             newton = nr_solve(model, loads.values[:, j])
             assert np.abs(out.values[:, j] - single.v).max() < 1e-10
+            if solver is batch_solve_sparse:
+                # the same LU and the same chunk solve: equal to the bit
+                column = np.ascontiguousarray(out.values[:, j])
+                assert np.array_equal(column.view(np.uint64),
+                                      single.v.view(np.uint64))
             assert np.abs(out.values[:, j] - newton.v).max() < 1e-8
             singles.append(single.iterations)
         assert out.iterations == max(singles)
@@ -251,6 +258,34 @@ class TestChunks:
             ref = fpi_solve(model, loads.values[:, j])
             assert np.abs(out.values[:, j] - ref.v).max() < 1e-12
 
+    @settings(max_examples=25)
+    @given(
+        n_buses=st.integers(10, 50),
+        seed=st.integers(0, 2**16),
+        alpha_i=st.floats(0.0, 1.0, exclude_max=True),
+        tau=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_sparse_batch_is_per_case_solve(self, n_buses, seed, alpha_i, tau, data):
+        # one LU and one chunk solve serve both paths, so each column of a
+        # chunked sparse batch is the single-case answer to the bit
+        spec = GenSpec(n_buses=n_buses, seed=seed)
+        model = with_zip(build_network(spec), 0.0, alpha_i, 1.0 - alpha_i)
+        loads = gen_scenarios(model, tau, spec).values.copy()
+        # a column overloaded x100 has no root and runs to the cap
+        stalled = data.draw(st.none() | st.integers(0, tau - 1), label="stalled")
+        if stalled is not None:
+            loads[:, stalled] *= 100.0
+        width = data.draw(st.integers(1, tau), label="chunk columns")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dense, "_CHUNK_BYTES", 16 * model.n_demand * width)
+            out = batch_solve_sparse(model, LoadMatrix(loads))
+        singles = [fpi_solve(model, loads[:, j]) for j in range(tau)]
+        v = np.stack([r.v for r in singles], axis=1)
+        assert np.array_equal(out.values.view(np.uint64), v.view(np.uint64))
+        assert out.converged_mask.tolist() == [r.converged for r in singles]
+        assert out.iterations == max(r.iterations for r in singles)
+
     @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
     def test_scratch_memory_does_not_grow_with_tau(self, nine_bus_model, solver):
         loads = feasible_batch(nine_bus_model, 40_000, seed=30)
@@ -276,5 +311,5 @@ def test_voltage_batch_accessors():
         converged_mask=np.array([True, True]), residuals=np.zeros(2),
     )
     assert batch.tau == 2
-    assert batch.magnitudes()[0, 0] == pytest.approx(np.sqrt(0.5))
-    assert batch.angles()[0, 0] == pytest.approx(np.pi / 4)
+    assert np.abs(batch.values)[0, 0] == pytest.approx(np.sqrt(0.5))
+    assert np.angle(batch.values)[0, 0] == pytest.approx(np.pi / 4)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
 from tpflow.fpi import (
     SingularSystemError,
     SolveOptions,
-    assemble_fpi,
     contraction_estimate,
-    factorization_count,
     fixed_point,
     fpi_solve,
     power_residual,
@@ -26,22 +25,28 @@ V_LOW = (1 - np.sqrt(0.96)) / 2
 
 class TestAssemble:
     def test_two_bus_f_and_w(self):
-        # hand algebra: B = 1/z_s, c = -v0/z_s, so F = [-z_s s*], w = [v0]
+        # hand algebra: B = 1/z_s, c = -v0/z_s, so F = [-z_s s*], w = [v0];
+        # one step from the flat start v0 = 1 lands at F / v0* + w
         model = two_bus_model(0.1 + 0j)
+        one_step = SolveOptions(max_iterations=1)
+        w = fpi_solve(model, [0j], one_step).v[0]
+        assert w == pytest.approx(1.0 + 0j, abs=1e-15)
         for s in (0.1 + 0j, 0.3 - 0.2j, 1.5 + 0.9j):
-            mats = assemble_fpi(model, [s])
-            assert mats.f_dense()[0, 0] == pytest.approx(-0.1 * np.conj(s), abs=1e-15)
-            assert mats.w[0] == pytest.approx(1.0 + 0j, abs=1e-15)
+            v1 = fpi_solve(model, [s], one_step).v[0]
+            assert v1 - w == pytest.approx(-0.1 * np.conj(s), abs=1e-15)
 
     def test_zero_load_gives_no_load_voltage(self, nine_bus_model):
         b = nine_bus_model.n_demand
-        mats = assemble_fpi(nine_bus_model, np.zeros(b))
-        assert np.abs(mats.f_dense()).max() == 0.0
+        # F = 0, so one step from any start lands at w
+        start = 0.9 + 0.1j * np.arange(b)
+        res = fpi_solve(nine_bus_model, np.zeros(b),
+                        SolveOptions(max_iterations=1, initial_voltage=start))
         # independent no-load voltage: solve Y_dd v = -Y_ds v_s directly
         y_dd = nine_bus_model.admittance.y_dd
         rhs = -nine_bus_model.source_injection()
         expected = spsolve(y_dd.tocsc(), rhs)
-        assert np.abs(mats.w - expected).max() < 1e-12
+        assert res.converged
+        assert np.abs(res.v - expected).max() < 1e-12
 
     def test_constant_impedance_is_linear(self, nine_bus_model):
         b = nine_bus_model.n_demand
@@ -54,21 +59,24 @@ class TestAssemble:
             branches=nine_bus_model.branches,
         )
         s = feasible_batch(nine_bus_model, 1, seed=3).values[:, 0]
-        mats = assemble_fpi(model, s)
-        assert np.abs(mats.f_dense()).max() == 0.0
         res = fpi_solve(model, s)
         assert res.converged and res.iterations == 1
+        # F = 0: the answer does not depend on the start
+        again = fpi_solve(model, s, SolveOptions(initial_voltage=2.0 * res.v))
+        assert np.array_equal(again.v, res.v)
 
     def test_singular_b_reports_degenerate_nodes(self):
         model = NetworkModel.from_admittance(
             y_dd=[[10.0, 0.0], [0.0, 0.0]], y_ds=[[-10.0], [0.0]]
         )
         with pytest.raises(SingularSystemError, match=r"rows \[1\]"):
-            assemble_fpi(model, [0.1, 0.1])
+            fpi_solve(model, [0.1, 0.1])
 
     def test_length_mismatch(self, nine_bus_model):
         with pytest.raises(ValueError, match="expected 8"):
-            assemble_fpi(nine_bus_model, [0.1])
+            fpi_solve(nine_bus_model, [0.1])
+        with pytest.raises(ValueError, match="expected 8"):
+            contraction_estimate(nine_bus_model, [1.0], [0.1])
 
 
 class TestSolve:
@@ -121,10 +129,15 @@ class TestSolve:
         assert "zero-voltage guard" in (res.diagnostic or "")
 
     def test_options_validated(self):
-        with pytest.raises(ValueError):
-            SolveOptions(tolerance=0.0)
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                SolveOptions(tolerance=bad)
+            with pytest.raises(ValueError, match="residual_tolerance must be positive"):
+                SolveOptions(residual_tolerance=bad)
         with pytest.raises(ValueError):
             SolveOptions(max_iterations=0)
+        # an infinite tolerance is a valid "accept the first step"
+        SolveOptions(tolerance=np.inf, residual_tolerance=np.inf)
 
 
 class TestFixedPoint:
@@ -235,19 +248,6 @@ class TestContraction:
         v = np.ones(nine_bus_model.n_demand, dtype=complex)
         assert contraction_estimate(nine_bus_model, v, np.zeros(8)) == 0.0
 
-    def test_result_carries_contraction_when_asked(self, nine_bus_model):
-        s = feasible_batch(nine_bus_model, 1, seed=4).values[:, 0]
-        res = fpi_solve(nine_bus_model, s, SolveOptions(compute_contraction=True))
-        assert res.converged
-        assert res.contraction_k is not None and res.contraction_k < 1
-
-    def test_contraction_reuses_the_solve_factorization(self, nine_bus_model):
-        s = feasible_batch(nine_bus_model, 1, seed=4).values[:, 0]
-        before = factorization_count()
-        res = fpi_solve(nine_bus_model, s, SolveOptions(compute_contraction=True))
-        assert factorization_count() - before == 1
-        assert res.contraction_k == contraction_estimate(nine_bus_model, res.v, s)
-
 
 class TestMatrixSuppliedModels:
     def test_matrix_route_matches_branch_route(self, nine_bus_model):
@@ -301,18 +301,18 @@ class TestInvariants:
     def test_converged_solutions_are_contractions(self, nine_bus_model, seed):
         loads = feasible_batch(nine_bus_model, 10, seed=seed)
         for j in range(loads.tau):
-            res = fpi_solve(
-                nine_bus_model, loads.values[:, j],
-                SolveOptions(compute_contraction=True),
-            )
-            assert res.converged and res.contraction_k < 1
+            s = loads.values[:, j]
+            res = fpi_solve(nine_bus_model, s)
+            assert res.converged
+            assert contraction_estimate(nine_bus_model, res.v, s) < 1
 
     def test_late_stage_l1_steps_non_increasing(self):
-        # heavier loading so several iterations happen before convergence
+        # heavier loading so several iterations happen before convergence;
+        # with one demand node the max-norm step is the 1-norm step
         model = two_bus_model(1.0 + 0.5j)
         res = fpi_solve(model, [0.18 + 0.11j])
-        assert res.converged and len(res.step_l1) >= 6
-        tail = res.step_l1[-5:]
+        assert res.converged and len(res.step_inf) >= 6
+        tail = res.step_inf[-5:]
         assert np.all(np.diff(tail) <= 1e-15)
 
     def test_fixed_point_stable_under_reapplication(self, nine_bus_model):
@@ -337,6 +337,7 @@ class TestInvariants:
         )
         s = feasible_batch(nine_bus_model, 1, seed=8).values[:, 0]
         res = fpi_solve(model, s)
-        mats = assemble_fpi(model, s)
-        direct = spsolve(mats.B, -mats.c)
+        # alpha_z = 1: (diag(s*) + Y_dd) v = -Y_ds v_s
+        B = sparse.diags(np.conj(s)) + model.admittance.y_dd
+        direct = spsolve(B.tocsc(), -model.source_injection())
         assert np.abs(res.v - direct).max() < 1e-12
