@@ -10,13 +10,7 @@ importable from their modules.
 """
 
 from .bench import BenchConfig, fit_complexity, run_benchmark, solve_batch
-from .dense import (
-    LoadMatrix,
-    PowerTensor,
-    batch_solve_dense,
-    reshape_tensor,
-    unreshape,
-)
+from .dense import LoadMatrix, batch_solve_dense
 from .fpi import (
     SingularSystemError,
     SolveOptions,
@@ -60,10 +54,7 @@ __all__ = [
     "fpi_solve",
     "power_residual",
     "contraction_estimate",
-    "PowerTensor",
     "LoadMatrix",
-    "reshape_tensor",
-    "unreshape",
     "batch_solve_dense",
     "batch_solve_sparse",
     "nr_solve",

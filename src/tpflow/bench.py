@@ -182,9 +182,11 @@ class ComplexityFit:
     n_points: int
 
 
-def fit_complexity(
-    records: list[BenchRecord], variable: str, min_points: int = 3
-) -> ComplexityFit:
+# the fewest distinct sizes a fit accepts
+_MIN_POINTS = 3
+
+
+def fit_complexity(records: list[BenchRecord], variable: str) -> ComplexityFit:
     """Fit t = c * n^k over records that vary only the chosen variable.
 
     ``variable`` is "tau" or "b_phi".  Four or more points give a meaningful
@@ -211,9 +213,9 @@ def fit_complexity(
 
     n = np.array([getattr(r, variable) for r in usable], dtype=float)
     t = np.array([r.wall_seconds for r in usable])
-    if len(usable) < min_points or len(np.unique(n)) < min_points:
+    if len(usable) < _MIN_POINTS or len(np.unique(n)) < _MIN_POINTS:
         raise ValueError(
-            f"need at least {min_points} distinct {variable} values, "
+            f"need at least {_MIN_POINTS} distinct {variable} values, "
             f"got {len(np.unique(n))}"
         )
     log_n, log_t = np.log(n), np.log(t)

@@ -1,7 +1,7 @@
 """Batched fixed-point power flow as dense matrix-matrix iterations.
 
-Load cases are stacked as columns of a bphi x tau matrix and updated
-jointly:
+Load cases are stacked as columns of a bphi x tau :class:`LoadMatrix` and
+updated jointly:
 
     V <- -Z_B (alpha_p . S* / V*) + W,   W = -Z_B (Y_ds v_s + alpha_i . S*)
 
@@ -17,7 +17,6 @@ chunk solve), and sends models with a constant-impedance share
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,44 +24,21 @@ import numpy as np
 from .fpi import SolveOptions, fpi_solve, solve_chunk
 from .network import NetworkModel
 
-__all__ = [
-    "PowerTensor",
-    "LoadMatrix",
-    "VoltageBatch",
-    "reshape_tensor",
-    "unreshape",
-    "batch_solve_dense",
-]
-
-
-@dataclass(frozen=True)
-class PowerTensor:
-    """Multidimensional batch of load cases; the last axis is the node axis."""
-
-    values: np.ndarray  # complex, shape (*dims, bphi)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=complex)
-        )
-        if self.values.ndim < 2:
-            raise ValueError("power tensor needs at least one batch dimension")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.values.shape[:-1]
+__all__ = ["LoadMatrix", "VoltageBatch", "batch_solve_dense"]
 
 
 @dataclass(frozen=True)
 class LoadMatrix:
-    """Loads reshaped to bphi x tau; column j is case j in row-major order.
+    """Loads as a bphi x tau matrix; column j is case j.
 
-    An empty batch (tau = 0), non-finite entries and ``dims`` whose product
-    is not tau are rejected with :class:`ValueError`.
+    The one way a load batch enters the solvers.  An array that is not 2-D,
+    an empty batch (tau = 0) and non-finite entries are rejected with
+    :class:`ValueError`.  A ``(*dims, bphi)`` array of cases enters as
+    ``LoadMatrix(t.reshape(-1, bphi).T)``, its cases in row-major order, and
+    ``values.T.reshape(*dims, bphi)`` gives the tensor back.
     """
 
     values: np.ndarray
-    dims: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=complex)
@@ -77,13 +53,6 @@ class LoadMatrix:
                 f"non-finite load {vals[node, case]} at node {node}, case {case}"
             )
         object.__setattr__(self, "values", vals)
-        if not self.dims:
-            object.__setattr__(self, "dims", (vals.shape[1],))
-        if math.prod(self.dims) != vals.shape[1]:
-            raise ValueError(
-                f"dims {tuple(self.dims)} describe {math.prod(self.dims)} cases, "
-                f"but the load matrix has {vals.shape[1]}"
-            )
 
     @property
     def n_demand(self) -> int:
@@ -106,19 +75,6 @@ class VoltageBatch:
     @property
     def tau(self) -> int:
         return self.values.shape[1]
-
-
-def reshape_tensor(tensor: PowerTensor) -> LoadMatrix:
-    """Flatten all batch dimensions; the node axis becomes the row axis."""
-    bphi = tensor.values.shape[-1]
-    flat = tensor.values.reshape(-1, bphi).T
-    return LoadMatrix(values=flat, dims=tensor.dims)
-
-
-def unreshape(loads: LoadMatrix) -> PowerTensor:
-    """Inverse of :func:`reshape_tensor`; exact round trip."""
-    bphi = loads.n_demand
-    return PowerTensor(values=loads.values.T.reshape(*loads.dims, bphi))
 
 
 # bytes of one b x width complex chunk; the batch driver walks columns by it.

@@ -3,7 +3,9 @@
 Networks are JSON with the slack voltage, bus count, branch array and
 optional per-node ZIP triples; an optional ``admittance`` section carries
 coordinate triplets for Y_dd / Y_ds and overrides branch assembly (the route
-for polyphase or externally assembled systems).
+for polyphase or externally assembled systems).  :func:`read_network` parses
+a document under one error handler, so any malformed field, or one the model
+rejects, raises a :class:`FileFormatError` that names the file and the field.
 
 Loads and voltages are comma-delimited text with one row per case; a load
 table may hold blank lines and CRLF line ends but no comments.  Every float
@@ -40,6 +42,7 @@ Run metadata is JSON.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import warnings
@@ -69,12 +72,6 @@ __all__ = [
 
 class FileFormatError(ValueError):
     """Malformed input file; the message names the file and offending field."""
-
-
-def _require(mapping: dict, key: str, path, context: str = "document"):
-    if key not in mapping:
-        raise FileFormatError(f"{path}: missing '{key}' in {context}")
-    return mapping[key]
 
 
 def write_network(path, model: NetworkModel) -> None:
@@ -112,93 +109,79 @@ def write_network(path, model: NetworkModel) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def _parse_zip(doc: dict, path) -> ZipCoefficients | None:
-    if "zip" not in doc:
-        return None
-    z = doc["zip"]
-    try:
-        return ZipCoefficients(
-            alpha_z=np.asarray(_require(z, "alpha_z", path, "zip section"), float),
-            alpha_i=np.asarray(_require(z, "alpha_i", path, "zip section"), float),
-            alpha_p=np.asarray(_require(z, "alpha_p", path, "zip section"), float),
-        )
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: invalid zip section: {exc}") from exc
-
-
-def _triplets_to_csc(entries, shape, path, name):
-    rows, cols, vals = [], [], []
-    for k, entry in enumerate(entries):
-        if len(entry) != 4:
-            raise FileFormatError(
-                f"{path}: {name} entry {k} must be [row, col, re, im]"
-            )
-        i, j, re, im = entry
-        rows.append(int(i))
-        cols.append(int(j))
-        vals.append(complex(re, im))
-    try:
-        return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsc()
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {name}: {exc}") from exc
+def _triplets_to_csc(triplets, shape) -> sparse.csc_matrix:
+    """The ``shape`` matrix that sums the (row, col, value) ``triplets``."""
+    rows, cols, vals = zip(*triplets) if triplets else ((), (), ())
+    return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsc()
 
 
 def read_network(path) -> NetworkModel:
+    """The network model of the JSON document at ``path``.
+
+    The document is read under one handler, with ``where`` set to the part
+    being read: ``document``, ``slack_voltage``, ``n_buses``,
+    ``admittance section``, ``y_dd entry k``/``y_ds entry k``, ``branches``,
+    ``branch k`` or ``zip section``.  A missing key raises
+    :class:`FileFormatError` as ``<path>: missing '<key>' in <where>``, and
+    any other malformed value, one the model rejects included, as
+    ``<path>: <where>: <reason>``.
+    """
     path = Path(path)
     if not path.exists():
         raise FileFormatError(f"{path}: no such file")
+    where = "invalid JSON"
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
-
-    sv = _require(doc, "slack_voltage", path)
-    try:
-        v_s = complex(float(_require(sv, "re", path, "slack_voltage")),
-                      float(_require(sv, "im", path, "slack_voltage")))
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"{path}: slack_voltage: {exc}") from exc
-    slack = SlackSpec(v_s)
-    n_buses = int(_require(doc, "n_buses", path))
-
-    if "admittance" in doc:
-        adm = doc["admittance"]
-        n_demand = int(_require(adm, "n_demand", path, "admittance section"))
-        y_dd = _triplets_to_csc(
-            _require(adm, "y_dd", path, "admittance section"),
-            (n_demand, n_demand), path, "y_dd",
-        )
-        y_ds = _triplets_to_csc(
-            _require(adm, "y_ds", path, "admittance section"),
-            (n_demand, 1), path, "y_ds",
-        )
-        zip_coeffs = _parse_zip(doc, path)
-        return NetworkModel.from_admittance(
-            y_dd, y_ds, slack=slack, zip_coeffs=zip_coeffs
-        )
-
-    raw = _require(doc, "branches", path)
-    branches = []
-    for k, entry in enumerate(raw):
-        try:
-            branches.append(
-                Branch(
-                    from_bus=int(_require(entry, "from", path, f"branch {k}")),
-                    to_bus=int(_require(entry, "to", path, f"branch {k}")),
-                    r=float(_require(entry, "r", path, f"branch {k}")),
-                    x=float(_require(entry, "x", path, f"branch {k}")),
+        where = "document"
+        sv, n_buses = doc["slack_voltage"], doc["n_buses"]
+        where = "slack_voltage"
+        slack = SlackSpec(complex(float(sv["re"]), float(sv["im"])))
+        where = "n_buses"
+        n_buses = int(n_buses)
+        if "admittance" in doc:
+            where = "admittance section"
+            adm = doc["admittance"]
+            n = int(adm["n_demand"])
+            blocks = []
+            for name, shape in (("y_dd", (n, n)), ("y_ds", (n, 1))):
+                where = "admittance section"
+                triplets = []
+                for k, entry in enumerate(adm[name]):
+                    where = f"{name} entry {k}"
+                    i, j, re, im = entry
+                    i, j = int(i), int(j)
+                    if not (0 <= i < shape[0] and 0 <= j < shape[1]):
+                        raise ValueError(f"index ({i}, {j}) is outside the "
+                                         f"{shape[0]} x {shape[1]} block")
+                    triplets.append((i, j, complex(re, im)))
+                blocks.append(_triplets_to_csc(triplets, shape))
+            model = NetworkModel.from_admittance(*blocks, slack=slack)
+        else:
+            where = "document"
+            raw = doc["branches"]
+            where = "branches"
+            branches = []
+            for k, entry in enumerate(raw):
+                where = f"branch {k}"
+                branches.append(Branch(
+                    from_bus=int(entry["from"]), to_bus=int(entry["to"]),
+                    r=float(entry["r"]), x=float(entry["x"]),
                     b_shunt=float(entry.get("b_shunt", 0.0)),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise FileFormatError(f"{path}: branch {k}: {exc}") from exc
-    zip_coeffs = _parse_zip(doc, path)
-    try:
-        return NetworkModel.from_branches(
-            branches, n_buses, slack=slack, zip_coeffs=zip_coeffs
-        )
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+                ))
+            where = "branches"
+            model = NetworkModel.from_branches(branches, n_buses, slack=slack)
+        if "zip" in doc:
+            where = "zip section"
+            z = doc["zip"]
+            model = dataclasses.replace(model, zip=ZipCoefficients(
+                *(np.asarray(z[key], float)
+                  for key in ("alpha_z", "alpha_i", "alpha_p"))))
+    except KeyError as exc:
+        raise FileFormatError(
+            f"{path}: missing '{exc.args[0]}' in {where}") from exc
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{path}: {where}: {exc}") from exc
+    return model
 
 
 def _pair_header(x: str, y: str, n: int) -> str:
@@ -438,8 +421,7 @@ def read_loads(path) -> LoadMatrix:
                                   f"{names[col]} = {table[row, col]}")
     # a C-ordered row of p, q pairs viewed as complex keeps the bits of both
     # parts, -0.0 included, which p + 1j * q would not
-    values = table.view(np.complex128).T
-    return LoadMatrix(values=values, dims=(values.shape[1],))
+    return LoadMatrix(table.view(np.complex128).T)
 
 
 def write_voltages(path, batch: VoltageBatch) -> None:

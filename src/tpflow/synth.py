@@ -149,4 +149,4 @@ def gen_scenarios(model: NetworkModel, tau: int, spec: GenSpec) -> LoadMatrix:
     margin = 0.5 * abs(model.slack.v_s) ** 2 / (4.0 * _max_thevenin(model))
     worst = float(np.abs(s.sum(axis=0)).max())
     s *= spec.load_scale * margin / worst
-    return LoadMatrix(values=s, dims=(tau,))
+    return LoadMatrix(s)

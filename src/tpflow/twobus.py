@@ -43,6 +43,9 @@ CLASS_LOW = 1
 CLASS_DIVERGED = 2
 CLASS_NAMES = ("high", "low", "diverged")
 
+# a converged start counts as a root's when it lands within this distance
+_MATCH_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class TwoBusSystem:
@@ -408,14 +411,15 @@ def basin_scan(
     im_range: tuple[float, float] = (-2.0, 2.0),
     resolution: int = 200,
     opts: SolveOptions = SolveOptions(),
-    match_tolerance: float = 1e-6,
 ) -> BasinMap:
     """Classify every grid start by the solution it converges to.
 
     Each converged final value is matched against the two closed-form roots
-    within ``match_tolerance``; anything else (including iteration-cap hits)
-    counts as diverged.
+    within ``_MATCH_TOLERANCE``; anything else (including iteration-cap hits)
+    counts as diverged.  ``resolution`` points per axis, at least 1.
     """
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
     roots = closed_form_solutions(sys)
     if len(roots) != 2:
         raise ValueError("basin scan requires a system with two solutions")
@@ -435,8 +439,8 @@ def basin_scan(
 
     classes = np.full(v.shape, CLASS_DIVERGED, dtype=np.int8)
     with np.errstate(invalid="ignore"):
-        classes[done & (np.abs(v - v_high) < match_tolerance)] = CLASS_HIGH
-        classes[done & (np.abs(v - v_low) < match_tolerance)] = CLASS_LOW
+        classes[done & (np.abs(v - v_high) < _MATCH_TOLERANCE)] = CLASS_HIGH
+        classes[done & (np.abs(v - v_low) < _MATCH_TOLERANCE)] = CLASS_LOW
     return BasinMap(
         re_grid=re_grid,
         im_grid=im_grid,

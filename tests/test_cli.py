@@ -97,6 +97,20 @@ class TestSolve:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert str(paths[arg]) in lines[0]
 
+    def test_malformed_network_is_one_error_line(self, tmp_path, net_path,
+                                                 loads_path, capsys):
+        doc = json.loads(net_path.read_text())
+        doc["n_buses"] = None
+        net_path.write_text(json.dumps(doc))
+        code = run([
+            "solve", "--network", net_path, "--loads", loads_path,
+            "--out", tmp_path / "v.csv",
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {net_path}: n_buses: ")
+
     def test_nan_tolerance_rejected(self, tmp_path, net_path, loads_path, capsys):
         code = run([
             "solve", "--network", net_path, "--loads", loads_path,
@@ -216,6 +230,14 @@ class TestTwoBus:
         assert len(lines) == 40 * 40
         high = sum(1 for l in lines if l.split(",")[2] == "high")
         assert high / len(lines) >= 0.999
+
+
+    def test_basin_resolution_zero_rejected(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = run(["twobus", "basin", "--resolution", 0, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == "error: resolution must be >= 1\n"
+        assert not out.exists()
 
 
 class TestTwoBusBytes:

@@ -1,3 +1,4 @@
+import copy
 import json
 import warnings
 
@@ -26,6 +27,35 @@ from tpflow.synth import GenSpec, build_network, gen_scenarios
 @pytest.fixture
 def model():
     return build_network(GenSpec(n_buses=9, seed=42))
+
+
+_BRANCH_DOC = {
+    "slack_voltage": {"re": 1.0, "im": 0.0},
+    "n_buses": 3,
+    "branches": [{"from": 0, "to": 1, "r": 0.01, "x": 0.02},
+                 {"from": 1, "to": 2, "r": 0.01, "x": 0.02}],
+}
+_MATRIX_DOC = {
+    "slack_voltage": {"re": 1.0, "im": 0.0},
+    "n_buses": 3,
+    "admittance": {
+        "n_demand": 2,
+        "y_dd": [[0, 0, 2.0, -4.0], [0, 1, -1.0, 2.0], [1, 0, -1.0, 2.0],
+                 [1, 1, 1.0, -2.0]],
+        "y_ds": [[0, 0, -1.0, 2.0]],
+    },
+}
+
+
+def _with(doc, keys, value):
+    """A copy of ``doc`` with the value at the path ``keys`` replaced."""
+    doc = copy.deepcopy(doc)
+    *parents, last = keys
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
 
 
 class TestNetworkFiles:
@@ -115,6 +145,47 @@ class TestNetworkFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(FileFormatError, match="branch 0"):
             read_network(path)
+
+    @pytest.mark.parametrize("doc, head", [
+        pytest.param(_with(_BRANCH_DOC, ["n_buses"], None), "n_buses: ",
+                     id="n_buses-null"),
+        pytest.param(_with(_BRANCH_DOC, ["n_buses"], "ten"), "n_buses: ",
+                     id="n_buses-text"),
+        pytest.param(_with(_BRANCH_DOC, ["n_buses"], float("inf")),
+                     "n_buses: ", id="n_buses-infinite"),
+        pytest.param(_with(_BRANCH_DOC, ["branches"], 5), "branches: ",
+                     id="branches-number"),
+        pytest.param(_with(_BRANCH_DOC, ["branches", 1], {"to": 2}),
+                     "missing 'from' in branch 1", id="branch-missing-key"),
+        pytest.param(_with(_BRANCH_DOC, ["slack_voltage", "re"], 0.0),
+                     "slack_voltage: ", id="slack-zero"),
+        pytest.param(_with(_BRANCH_DOC, ["slack_voltage"], 1.0),
+                     "slack_voltage: ", id="slack-number"),
+        pytest.param([_BRANCH_DOC], "document: ", id="document-list"),
+        pytest.param(_with(_MATRIX_DOC, ["admittance", "n_demand"], None),
+                     "admittance section: ", id="n_demand-null"),
+        pytest.param(_with(_MATRIX_DOC, ["admittance", "y_dd", 1], 5),
+                     "y_dd entry 1: ", id="y_dd-entry-number"),
+        pytest.param(_with(_MATRIX_DOC, ["admittance", "y_dd", 2, 3], None),
+                     "y_dd entry 2: ", id="y_dd-entry-null"),
+        pytest.param(_with(_MATRIX_DOC, ["admittance", "y_dd", 0], [0, 0, 2.0]),
+                     "y_dd entry 0: ", id="y_dd-entry-3-fields"),
+        pytest.param(_with(_MATRIX_DOC, ["admittance", "y_ds", 0, 0], 2),
+                     "y_ds entry 0: ", id="y_ds-row-out-of-range"),
+        pytest.param(_with(_BRANCH_DOC, ["zip"], {"alpha_z": [0.0] * 3,
+                                                  "alpha_i": [0.0] * 3,
+                                                  "alpha_p": [1.0] * 3}),
+                     "zip section: ", id="zip-wrong-size"),
+    ])
+    def test_malformed_document_names_path_and_field(self, tmp_path, doc, head):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        # any other exception type escapes pytest.raises and fails the test
+        with pytest.raises(FileFormatError) as err:
+            read_network(path)
+        message = str(err.value)
+        assert message.startswith(f"{path}: {head}")
+        assert message.count(str(path)) == 1
 
 
 class TestLoadFiles:

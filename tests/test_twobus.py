@@ -279,6 +279,11 @@ class TestBasin:
         with pytest.raises(ValueError, match="unknown basin method"):
             basin_scan(self.SYS, method="bfgs")
 
+    @pytest.mark.parametrize("resolution", [0, -3])
+    def test_resolution_below_one_rejected(self, resolution):
+        with pytest.raises(ValueError, match=r"resolution must be >= 1"):
+            basin_scan(self.SYS, resolution=resolution)
+
     def test_nr_singular_jacobian_cell_is_diverged(self):
         # for a purely resistive source the NR Jacobian is singular along
         # Re(v) = v0/2 exactly; such a start must freeze and classify diverged
