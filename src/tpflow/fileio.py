@@ -25,17 +25,16 @@ byte-identical files.  Two writers cover the tables:
   circles and basin) one ``fmt % row`` line at a time.
 
 :func:`read_loads` reads a load table in one forward pass over one binary
-file handle.  Blocks of whole lines of about 256 KiB are parsed in bulk by
+file handle, in blocks of whole lines of about 256 KiB.  Each block goes to
 :func:`tpflow.floattext.parse_rows` while every row is comma-separated cells
-of the grammar ``-?D*(.D*)?([eE][+-]?D+)?`` ended by a newline; once the
-first block is parsed, the rows after it are counted and the table is
-allocated once.  The first block it rejects (CRLF or blank lines, spaces, a
-leading '+', nan or inf, '_', a non-ASCII byte, a wrong field count, no
-final newline) is the one fork: from there the rest of the file goes once
-to ``np.loadtxt``, split into lines as text mode splits them and decoded as
-UTF-8.  Rows parsed in bulk are never read again, and a fault is looked for
-in the rest only, by bisection.  Both parsers give each cell's correctly
-rounded double, so they agree bit for bit.
+of the grammar ``-?D*(.D*)?([eE][+-]?D+)?`` ended by a newline.  From the
+first block it rejects (CRLF or blank lines, spaces, a leading '+', nan or
+inf, '_', a non-ASCII byte, a wrong field count, no final newline) on, each
+block goes to ``np.loadtxt`` on its own, split into lines as text mode
+splits them and decoded as UTF-8.  Once the first block is read, the lines
+after it are counted and the table is allocated once.  A fault is looked
+for only in the block that loadtxt rejects.  Both parsers give each cell's
+correctly rounded double, so they agree bit for bit.
 
 Run metadata is JSON.
 """
@@ -43,7 +42,6 @@ Run metadata is JSON.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import warnings
 from pathlib import Path
@@ -115,6 +113,13 @@ def _triplets_to_csc(triplets, shape) -> sparse.csc_matrix:
     return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsc()
 
 
+def _whole(value) -> int:
+    """``int(value)`` for a whole number or its text; a fraction raises."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def read_network(path) -> NetworkModel:
     """The network model of the JSON document at ``path``.
 
@@ -137,11 +142,11 @@ def read_network(path) -> NetworkModel:
         where = "slack_voltage"
         slack = SlackSpec(complex(float(sv["re"]), float(sv["im"])))
         where = "n_buses"
-        n_buses = int(n_buses)
+        n_buses = _whole(n_buses)
         if "admittance" in doc:
             where = "admittance section"
             adm = doc["admittance"]
-            n = int(adm["n_demand"])
+            n = _whole(adm["n_demand"])
             blocks = []
             for name, shape in (("y_dd", (n, n)), ("y_ds", (n, 1))):
                 where = "admittance section"
@@ -149,7 +154,7 @@ def read_network(path) -> NetworkModel:
                 for k, entry in enumerate(adm[name]):
                     where = f"{name} entry {k}"
                     i, j, re, im = entry
-                    i, j = int(i), int(j)
+                    i, j = _whole(i), _whole(j)
                     if not (0 <= i < shape[0] and 0 <= j < shape[1]):
                         raise ValueError(f"index ({i}, {j}) is outside the "
                                          f"{shape[0]} x {shape[1]} block")
@@ -164,7 +169,7 @@ def read_network(path) -> NetworkModel:
             for k, entry in enumerate(raw):
                 where = f"branch {k}"
                 branches.append(Branch(
-                    from_bus=int(entry["from"]), to_bus=int(entry["to"]),
+                    from_bus=_whole(entry["from"]), to_bus=_whole(entry["to"]),
                     r=float(entry["r"]), x=float(entry["x"]),
                     b_shunt=float(entry.get("b_shunt", 0.0)),
                 ))
@@ -179,7 +184,7 @@ def read_network(path) -> NetworkModel:
     except KeyError as exc:
         raise FileFormatError(
             f"{path}: missing '{exc.args[0]}' in {where}") from exc
-    except (OverflowError, TypeError, ValueError) as exc:
+    except (OverflowError, RecursionError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{path}: {where}: {exc}") from exc
     return model
 
@@ -236,11 +241,12 @@ def write_loads(path, loads: LoadMatrix) -> None:
 _TEXT_CHUNK = 1 << 18  # 256 KiB of table text per parsed block
 
 
-def _lines(path, fh, lineno: int):
-    """Number and text of each line from the position of ``fh`` on, split
-    as text mode splits them: at '\\n', '\\r\\n' or a lone '\\r'.  A line
-    that is not UTF-8 raises a :class:`FileFormatError` that names it."""
-    for raw in fh:
+def _lines(path, raws, lineno: int):
+    """Number and text of each line in the binary lines ``raws``, the first
+    of them line ``lineno``, split as text mode splits them: at '\\n',
+    '\\r\\n' or a lone '\\r'.  A line that is not UTF-8 raises a
+    :class:`FileFormatError` that names it."""
+    for raw in raws:
         for line in raw.splitlines(keepends=True):
             try:
                 text = line.decode()
@@ -248,36 +254,6 @@ def _lines(path, fh, lineno: int):
                 raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
             yield lineno, text
             lineno += 1
-
-
-def _parse_bulk(fh, ncols: int) -> tuple[np.ndarray, int, int]:
-    """A table for the rows from the position of ``fh`` on, the rows parsed
-    into it in bulk, and the file offset of the first line not parsed.
-
-    Blocks of whole lines go to :func:`tpflow.floattext.parse_rows` until
-    it rejects one.  Once the first block is accepted, the newlines after it
-    are counted, so that the table is allocated once and scratch memory
-    stays bounded by the block; a table rejected at its first block is not
-    counted at all.
-    """
-    # imported here, so that a run reading no load table neither compiles
-    # the parser nor builds its tables
-    from .floattext import parse_rows
-
-    start = fh.tell()
-    table = np.empty((0, ncols))
-    done = 0
-    for lines in iter(lambda: fh.readlines(_TEXT_CHUNK), []):
-        text = b"".join(lines)
-        part = parse_rows(text, ncols)
-        if part is None:
-            break
-        if not done:
-            table = np.empty((len(part) + _count_newlines(fh), ncols))
-        table[done:done + len(part)] = part
-        done += len(part)
-        start += len(text)
-    return table, done, start
 
 
 def _count_newlines(fh) -> int:
@@ -302,70 +278,58 @@ def _loadtxt(lines) -> np.ndarray:
         return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
-def _parses(text: str) -> bool:
-    """Whether ``np.loadtxt`` reads ``text``, one field, as a number."""
+def _reads(text: str, width: int) -> bool:
+    """Whether ``np.loadtxt`` reads the line ``text`` as ``width`` numbers."""
     try:
-        return _loadtxt([text]).size > 0
+        return _loadtxt([text]).shape == (1, width)
     except ValueError:
         return False
 
 
-def _bad_line(path, names: list[str], lines, reason: object) -> FileFormatError:
-    """Name the first of the numbered ``lines`` and its field that loadtxt
-    rejected; ``reason`` stands in should no single line be at fault.
+def _read_block(path, names: list[str], raws, lineno: int,
+                at: list[int]) -> np.ndarray:
+    """The rows ``np.loadtxt`` reads from the binary lines ``raws``, the
+    first of them line ``lineno``; each row's line is appended to ``at``.
 
-    Whether the first k lines read as a table of ``len(names)`` columns is
-    monotone in k, and once the first ``good`` lines are known to read, the
-    first k read if and only if lines ``good`` to k do.  So segments of
-    doubling length are read in turn up to the first that does not, and the
-    line at fault is found by bisecting that one: about 2 log2(p) loadtxt
-    calls for a fault at line p, over no more than 2p lines.  A line that is
-    not UTF-8 ends the lines; its error is raised if none before it is at
-    fault.
+    A rejected block is walked line by line: each line is read whole, and
+    the first that fails field by field, to name it.  The walk is lazy, so
+    a line that is not UTF-8 raises only once every line before it is read.
     """
-    numbered: list[tuple[int, str]] = []
-    undecodable = None
-    rest = iter(lines)
+    def rows():
+        for n, line in _lines(path, raws, lineno):
+            if not line.isspace():
+                at.append(n)
+                yield line
 
-    def reads(lo: int, hi: int) -> bool:
-        try:
-            table = _loadtxt([line for _, line in numbered[lo:hi]])
-        except ValueError:
-            return False
-        return table.shape[1] == len(names)
-
-    # the first `good` lines read; if bad > good, the first `bad` do not
-    good = bad = 0
-    while bad == good and undecodable is None:
-        try:
-            numbered.extend(itertools.islice(rest, max(good, 1)))
-        except FileFormatError as exc:
-            undecodable = exc
-        if len(numbered) == good:
-            break
-        bad = len(numbered)
-        if reads(good, bad):
-            good = bad
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        good, bad = (mid, bad) if reads(good, mid) else (good, mid)
-    for lineno, line in numbered[good:bad]:
+    try:
+        part = _loadtxt(rows())
+    except ValueError as exc:
+        reason = exc
+    else:
+        if not len(part) or part.shape[1] == len(names):
+            return part
+        # loadtxt takes the field count from the first row
+        reason = f"{part.shape[1]} fields per row"
+    for n, line in _lines(path, raws, lineno):
+        if line.isspace() or _reads(line, len(names)):
+            continue
         fields = line.split(",")
         if len(fields) != len(names):
-            return FileFormatError(
-                f"{path}: line {lineno}: expected {len(names)} fields, "
-                f"got {len(fields)}"
-            )
+            raise FileFormatError(f"{path}: line {n}: expected {len(names)} "
+                                  f"fields, got {len(fields)}")
         for name, field in zip(names, fields):
-            if not _parses(field):
-                return FileFormatError(
-                    f"{path}: line {lineno}: {name}: could not convert "
-                    f"string to float: {field.strip()!r}"
-                )
-    return undecodable or FileFormatError(f"{path}: {reason}")
+            if not _reads(field, 1):
+                raise FileFormatError(
+                    f"{path}: line {n}: {name}: could not convert string to "
+                    f"float: {field.strip()!r}")
+    raise FileFormatError(f"{path}: {reason}")
 
 
 def read_loads(path) -> LoadMatrix:
+    # imported here, so that a run reading no load table neither compiles
+    # the parser nor builds its tables
+    from .floattext import parse_rows
+
     path = Path(path)
     if not path.exists():
         raise FileFormatError(f"{path}: no such file")
@@ -386,37 +350,33 @@ def read_loads(path) -> LoadMatrix:
                 f"p_1,q_1,...,p_{b},q_{b} layout"
             )
         fh.seek(len(first.encode()))
-        table, done, start = _parse_bulk(fh, 2 * b)
-
-        def rest():
-            """Number and text of each non-blank line not parsed in bulk."""
-            fh.seek(start)
-            return ((n, line) for n, line in _lines(path, fh, 2 + done)
-                    if not line.isspace())
-
-        try:
-            arr = _loadtxt(line for _, line in rest())
-        except ValueError as exc:
-            raise _bad_line(path, names, rest(), exc) from exc
-        if len(arr) and arr.shape[1] != 2 * b:
-            # loadtxt takes the field count from the first row
-            raise _bad_line(path, names, rest(),
-                            f"{arr.shape[1]} fields per row")
-        rows = done + len(arr)
+        table = np.empty((0, 2 * b))
+        rows = 0
+        bulk = None  # the rows parsed in bulk, once a block is rejected
+        at: list[int] = []  # the line of each row after those
+        for raws in iter(lambda: fh.readlines(_TEXT_CHUNK), []):
+            part = parse_rows(b"".join(raws), 2 * b) if bulk is None else None
+            if part is None:
+                if bulk is None:
+                    bulk, lineno = rows, 2 + rows
+                part = _read_block(path, names, raws, lineno, at)
+                lineno += sum(len(raw.splitlines()) for raw in raws)
+            end = rows + len(part)
+            if end > len(table):
+                # the first block; or lone '\r' line ends, or no final
+                # newline, which the count of the rest missed
+                grown = np.empty((end + _count_newlines(fh), 2 * b))
+                grown[:rows] = table[:rows]
+                table = grown
+            table[rows:end] = part
+            rows = end
         if rows == 0:
             raise FileFormatError(f"{path}: no load cases")
-        if not done:  # loadtxt read every row
-            table = arr
-        elif rows <= len(table):
-            table = table[:rows]
-            table[done:] = arr
-        else:  # lone '\r' line ends, which the newline count missed
-            table = np.concatenate((table[:done], arr))
+        table = table[:rows]
         finite = np.isfinite(table)
         if not finite.all():
             row, col = np.argwhere(~finite)[0]
-            lineno = 2 + row if row < done else next(
-                n for k, (n, _) in enumerate(rest(), done) if k == row)
+            lineno = 2 + row if bulk is None or row < bulk else at[row - bulk]
             raise FileFormatError(f"{path}: line {lineno}: non-finite "
                                   f"{names[col]} = {table[row, col]}")
     # a C-ordered row of p, q pairs viewed as complex keeps the bits of both

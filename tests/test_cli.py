@@ -111,6 +111,19 @@ class TestSolve:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {net_path}: n_buses: ")
 
+    def test_deeply_nested_network_is_one_error_line(self, tmp_path,
+                                                     loads_path, capsys):
+        net = tmp_path / "deep.json"
+        net.write_text("[" * 100_000 + "]" * 100_000)
+        code = run([
+            "solve", "--network", net, "--loads", loads_path,
+            "--out", tmp_path / "v.csv",
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {net}: invalid JSON: ")
+
     def test_nan_tolerance_rejected(self, tmp_path, net_path, loads_path, capsys):
         code = run([
             "solve", "--network", net_path, "--loads", loads_path,

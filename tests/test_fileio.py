@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tpflow import fileio
 from tpflow.bench import BenchRecord
@@ -172,6 +172,20 @@ class TestNetworkFiles:
                      "y_dd entry 0: ", id="y_dd-entry-3-fields"),
         pytest.param(_with(_MATRIX_DOC, ["admittance", "y_ds", 0, 0], 2),
                      "y_ds entry 0: ", id="y_ds-row-out-of-range"),
+        pytest.param(_with(_BRANCH_DOC, ["n_buses"], 3.9),
+                     "n_buses: 3.9 is not a whole number",
+                     id="n_buses-fraction"),
+        pytest.param(_with(_BRANCH_DOC, ["branches", 0, "to"], 1.7),
+                     "branch 0: 1.7 is not a whole number",
+                     id="branch-to-fraction"),
+        pytest.param(_with(_BRANCH_DOC, ["branches", 1, "from"], 1.5),
+                     "branch 1: ", id="branch-from-fraction"),
+        pytest.param(_with(_MATRIX_DOC, ["admittance", "n_demand"], 2.5),
+                     "admittance section: ", id="n_demand-fraction"),
+        pytest.param(_with(_MATRIX_DOC, ["admittance", "y_dd", 1, 1], 0.5),
+                     "y_dd entry 1: ", id="y_dd-col-fraction"),
+        pytest.param(_with(_MATRIX_DOC, ["admittance", "y_ds", 0, 0], 0.25),
+                     "y_ds entry 0: ", id="y_ds-row-fraction"),
         pytest.param(_with(_BRANCH_DOC, ["zip"], {"alpha_z": [0.0] * 3,
                                                   "alpha_i": [0.0] * 3,
                                                   "alpha_p": [1.0] * 3}),
@@ -185,6 +199,25 @@ class TestNetworkFiles:
             read_network(path)
         message = str(err.value)
         assert message.startswith(f"{path}: {head}")
+        assert message.count(str(path)) == 1
+
+    def test_whole_floats_and_integer_text_read(self, tmp_path):
+        doc = _with(_with(_BRANCH_DOC, ["n_buses"], 3.0),
+                    ["branches", 1, "to"], "2")
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(doc))
+        model = read_network(path)
+        assert model.n_demand == 2
+        assert model.branches[1].to_bus == 2
+
+    def test_deep_nesting_is_invalid_json(self, tmp_path):
+        path = tmp_path / "net.json"
+        # written as text: json.dumps would recurse as deep as json.loads
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(FileFormatError) as err:
+            read_network(path)
+        message = str(err.value)
+        assert message.startswith(f"{path}: invalid JSON: ")
         assert message.count(str(path)) == 1
 
 
@@ -345,6 +378,18 @@ class TestLoadText:
         values = self._read(tmp_path, b"p_1,q_1\r0.1,-0.25\r\r0.3,0.4\r")
         assert np.array_equal(values, [[0.1 - 0.25j, 0.3 + 0.4j]])
 
+    def test_lone_cr_lines_counted_across_blocks(self, tmp_path, monkeypatch):
+        # each '\n' line holds two rows split by a lone '\r', more rows than
+        # the newline count that sized the table
+        monkeypatch.setattr(fileio, "_TEXT_CHUNK", 16)
+        text = b"p_1,q_1\n" + b"+1,2\r3,4\n" * 20
+        values = self._read(tmp_path, text)
+        assert np.array_equal(values, [[1 + 2j, 3 + 4j] * 20])
+        with pytest.raises(FileFormatError) as err:
+            self._read(tmp_path, text + b"5,nan\n")
+        assert str(err.value).endswith(
+            "loads.csv: line 42: non-finite q_1 = nan")
+
     def test_conversion_fault_before_non_finite(self, tmp_path):
         with pytest.raises(FileFormatError) as err:
             self._read(tmp_path, b"p_1,q_1\n0.1,nan\n0.3,hello\n")
@@ -378,11 +423,11 @@ class TestLoadText:
         assert 0 < len(seen) < len(rows) // 4
         assert seen == rows[-len(seen):]
 
-    @pytest.mark.parametrize("end, counts", [(b"\n", 1), (b"\r\n", 0)])
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n"])
     def test_newlines_counted_after_first_block(self, tmp_path, model,
-                                                monkeypatch, end, counts):
-        # a CRLF table is rejected at its first block, so nothing sizes a
-        # table for bulk rows that will never come
+                                                monkeypatch, end):
+        # the table is sized once from the first block, whichever parser
+        # read it
         path = tmp_path / "loads.csv"
         loads = gen_scenarios(model, 40, GenSpec(n_buses=9, seed=5))
         write_loads(path, loads)
@@ -392,27 +437,38 @@ class TestLoadText:
         monkeypatch.setattr(fileio, "_count_newlines",
                             lambda fh: calls.append(fh) or count(fh))
         assert np.array_equal(read_loads(path).values, loads.values)
-        assert len(calls) == counts
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("row", [2, 4997])
-    def test_fault_found_by_bisection(self, tmp_path, monkeypatch, row):
-        n = 5000
+    def test_fault_looked_for_in_its_block(self, tmp_path, monkeypatch, row):
+        n, chunk = 5000, 4096
         rows = [b"%d.5,-%d.25" % (k, k) for k in range(n)]
         rows[row] = b"1.5,hello"
         path = tmp_path / "loads.csv"
         path.write_bytes(b"\r\n".join([b"p_1,q_1", *rows, b""]))
-        calls = []  # lines handed over in a list; the first call streams them
+        monkeypatch.setattr(fileio, "_TEXT_CHUNK", chunk)
+        # no block holds more lines than this; the table spans several
+        block = chunk // min(len(r) + 2 for r in rows) + 1
+        assert n > 10 * block
+        handed = []
         loadtxt = fileio._loadtxt
-        monkeypatch.setattr(fileio, "_loadtxt", lambda lines: calls.append(
-            len(lines) if isinstance(lines, list) else 0) or loadtxt(lines))
+
+        def spy(lines):
+            lines = list(lines)
+            handed.append(len(lines))
+            return loadtxt(lines)
+
+        monkeypatch.setattr(fileio, "_loadtxt", spy)
         with pytest.raises(FileFormatError) as err:
             read_loads(path)
         assert str(err.value).endswith(
             f"loads.csv: line {row + 2}: q_1: could not convert string to "
             "float: 'hello'")
-        assert len(calls) <= 2 * int(np.ceil(np.log2(n))) + 4
-        # an early fault is found without reading the rest of the table
-        assert sum(calls) <= 3 * (row + 1)
+        # each block is read once, and only the rejected one is walked
+        assert sum(handed) <= n + block
+        # an early fault reads only its own block
+        if row < block:
+            assert sum(handed) <= 2 * block
 
     @pytest.mark.parametrize("text, message", [
         # field count first, then the field that fails, on the first line
@@ -435,6 +491,40 @@ class TestLoadText:
         with pytest.raises(FileFormatError, match=r"loads\.csv: line 3:") as err:
             self._read(tmp_path, b"p_1,q_1\n0.1,0.2\n0.\xff,2\n")
         assert "can't decode byte 0xff" in str(err.value)
+
+    @settings(max_examples=60)
+    @given(_lenient_tables(), st.integers(1, 300), st.data())
+    def test_one_fault_named_in_any_block(self, tmp_path_factory, text, chunk,
+                                          data):
+        lines = text.splitlines(keepends=True)
+        names = lines[0].strip().split(",")
+        k = data.draw(st.sampled_from(
+            [i for i in range(1, len(lines)) if lines[i].strip()]))
+        body = lines[k].rstrip("\r\n")
+        fields = body.split(",")
+        col = data.draw(st.integers(0, len(names) - 1))
+        fault = data.draw(st.sampled_from(["cell", "field", "byte", "inf"]))
+        message = {
+            "cell": f"{names[col]}: could not convert string to float: 'x'",
+            "field": f"expected {len(names)} fields, got {len(names) + 1}",
+            "byte": "'utf-8' codec can't decode byte 0xff",
+            "inf": f"non-finite {names[col]} = inf",
+        }[fault]
+        if fault in ("cell", "inf"):
+            fields[col] = "x" if fault == "cell" else "1e400"
+        elif fault == "field":
+            fields.append("1")
+        line = (",".join(fields) + lines[k][len(body):]).encode()
+        if fault == "byte":
+            line = b"\xff" + line
+        path = tmp_path_factory.getbasetemp() / "faulty.csv"
+        path.write_bytes("".join(lines[:k]).encode() + line
+                         + "".join(lines[k + 1:]).encode())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileio, "_TEXT_CHUNK", chunk)
+            with pytest.raises(FileFormatError) as err:
+                read_loads(path)
+        assert str(err.value).startswith(f"{path}: line {k + 1}: {message}")
 
     @given(_lenient_tables(), st.integers(1, 300))
     def test_lenient_tables_read_as_loadtxt(self, tmp_path_factory, text,
