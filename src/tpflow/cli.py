@@ -16,6 +16,7 @@ import numpy as np
 
 from . import fileio, twobus
 from .bench import BenchConfig, METHODS, fit_complexity, run_benchmark, solve_batch
+from .dense import usable_cores
 from .fileio import FileFormatError
 from .fpi import SolveOptions
 from .network import NetworkError
@@ -58,6 +59,8 @@ def _cmd_solve(args) -> int:
         "max_residual": float(np.nanmax(batch.residuals)),
         "tolerance": opts.tolerance,
         "wall_seconds": t3 - t2,
+        "chunk_workers": batch.chunk_workers,
+        "usable_cores": usable_cores(),
         "phase_seconds": {"read_network": t1 - t0, "read_loads": t2 - t1,
                           "solve": t3 - t2, "write_voltages": t4 - t3},
     }

@@ -13,10 +13,20 @@ of a fixed byte budget, so scratch memory does not grow with tau, solving
 each chunk with :func:`tpflow.fpi.solve_chunk` (the single-case solver's own
 chunk solve), and sends models with a constant-impedance share
 (``alpha_z != 0``, a different B per case) through the per-case loop.
+
+The chunks are independent, and numpy releases the interpreter lock in
+``matmul`` and in the elementwise kernels, so the driver solves them on as
+many threads as the BLAS threads leave cores idle: one per usable core
+divided by the BLAS thread count that ``OPENBLAS_NUM_THREADS`` (or, unset,
+``GOTO_NUM_THREADS`` then ``OMP_NUM_THREADS``) sets.  With none set, BLAS
+takes every core and the chunks run one after another.  At a fixed BLAS
+thread count the worker count changes no bit of the result.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +81,7 @@ class VoltageBatch:
     iterations: int
     converged_mask: np.ndarray
     residuals: np.ndarray
+    chunk_workers: int = 1  # threads that solved the column chunks
 
     @property
     def tau(self) -> int:
@@ -78,9 +89,10 @@ class VoltageBatch:
 
 
 # bytes of one b x width complex chunk; the batch driver walks columns by it.
-# At 256 KiB / 512 KiB / 1 MiB: stalled-dense 0.049 / 0.052 / 0.067 s,
-# feeder-dense 0.52 / 0.50 / 0.48 s (medians of 5 fresh processes, 2 cores,
-# 1 BLAS thread); the feeder's runs spread over +-15%, wider than its gaps
+# At 256 KiB / 512 KiB / 1 MiB: stalled-dense 0.033 / 0.034 / 0.038 s,
+# feeder-dense 0.225 / 0.225 / 0.214 s (medians of 5 fresh processes, 2 cores,
+# 1 BLAS thread, 2 chunk workers); the feeder's runs spread over 0.20-0.25 s,
+# wider than its gaps
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -117,7 +129,12 @@ def solve_columns(
 
     The columns are walked in chunks of ``_CHUNK_BYTES // (16 b)`` cases,
     which bounds the scratch memory and keeps the elementwise work
-    cache-resident; results are written into one C-ordered batch.
+    cache-resident; results are written into one C-ordered batch.  The
+    first chunk is solved on the calling thread; the rest are shared out
+    between it and :func:`_chunk_workers` ``- 1`` helper threads, each
+    writing its own columns.  A chunk's result does not depend on the
+    thread that solved it, so at a fixed BLAS thread count the batch is
+    the same to the bit for any worker count.
 
     Stop rule, per column: a column is recorded at the first iteration its
     max |dv| falls under ``opts.tolerance`` and leaves the kernel with that
@@ -136,27 +153,104 @@ def solve_columns(
 
     b, tau = loads.values.shape
     apply_z = make_z(model.admittance.y_dd)
+    width = max(1, _CHUNK_BYTES // (16 * b))
+    chunks = [slice(j, min(j + width, tau)) for j in range(0, tau, width)]
     mask = np.empty(tau, dtype=bool)
     residuals = np.empty(tau)
-    iterations = 0
-    width = max(1, _CHUNK_BYTES // (16 * b))
-    for start in range(0, tau, width):
-        cols = slice(start, min(start + width, tau))
+    iterations = [0] * len(chunks)
+    v = None
+
+    def solve(k):
+        nonlocal v
+        cols = chunks[k]
         run, res, converged = solve_chunk(
             model, loads.values[:, cols], apply_z, opts
         )
-        if start == 0:
-            # allocated once the first chunk's scratch is free; allocated
-            # before it, glibc returned that scratch to the OS and faulted it
-            # back on every call (+15% on a 100-node, 100-case batch)
+        if v is None:
+            # chunk 0, before any helper starts.  Allocated once its scratch
+            # is free; allocated before it, glibc returned that scratch to
+            # the OS and faulted it back on every call (+15% on a 100-node,
+            # 100-case batch)
             v = np.empty((b, tau), dtype=complex)
         v[:, cols] = run.v
         mask[cols] = converged
         residuals[cols] = res
-        iterations = max(iterations, run.iterations)
+        iterations[k] = run.iterations
+
+    solve(0)
+    rest = range(1, len(chunks))
+    workers = _chunk_workers(len(rest))
+    _run_all(solve, rest, workers)
     return VoltageBatch(
-        values=v, iterations=iterations, converged_mask=mask, residuals=residuals
+        values=v, iterations=max(iterations), converged_mask=mask,
+        residuals=residuals, chunk_workers=workers,
     )
+
+
+# the variables OpenBLAS reads its thread count from, first to last
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_workers(chunks: int) -> int:
+    """Threads to solve ``chunks`` column chunks on: one per core that the
+    BLAS threads leave free, at least one and at most one per chunk.
+
+    The BLAS thread count is the first of ``_BLAS_THREAD_VARS`` set to a
+    positive integer, as OpenBLAS takes it; with none, OpenBLAS starts one
+    thread per core and leaves no core free.
+    """
+    usable = usable_cores()
+    blas = usable
+    for var in _BLAS_THREAD_VARS:
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            blas = n
+            break
+    return max(1, min(chunks, usable // blas))
+
+
+def _run_all(solve, items, workers: int) -> None:
+    """Call ``solve(k)`` for each ``k`` of ``items`` on the calling thread
+    and ``workers - 1`` helper threads, each taking the next item when done.
+
+    Every helper is joined before this returns.  The first exception any
+    call raises stops the threads taking new items and is raised here.
+    """
+    todo = iter(items)
+    lock = threading.Lock()
+    failed: list[BaseException] = []
+
+    def work():
+        try:
+            while not failed:
+                with lock:
+                    k = next(todo, None)
+                if k is None:
+                    return
+                solve(k)
+        except BaseException as exc:  # raised again in the calling thread
+            failed.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        for t in helpers:
+            t.join()
+    if failed:
+        raise failed[0]
 
 
 def solve_cases(

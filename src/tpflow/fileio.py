@@ -32,9 +32,11 @@ first block it rejects (CRLF or blank lines, spaces, a leading '+', nan or
 inf, '_', a non-ASCII byte, a wrong field count, no final newline) on, each
 block goes to ``np.loadtxt`` on its own, split into lines as text mode
 splits them and decoded as UTF-8.  Once the first block is read, the lines
-after it are counted and the table is allocated once.  A fault is looked
-for only in the block that loadtxt rejects.  Both parsers give each cell's
-correctly rounded double, so they agree bit for bit.
+after it are counted and the table is allocated once.  Lone CR line ends,
+which that count misses, grow it by the rows per line read so far, with no
+second count.  A fault is looked for only in the block that loadtxt
+rejects.  Both parsers give each cell's correctly rounded double, so they
+agree bit for bit.
 
 Run metadata is JSON.
 """
@@ -354,7 +356,10 @@ def read_loads(path) -> LoadMatrix:
         rows = 0
         bulk = None  # the rows parsed in bulk, once a block is rejected
         at: list[int] = []  # the line of each row after those
+        seen = 0  # the '\n' lines read, as binary readlines splits them
+        lines = None  # all '\n' lines after the header, once counted
         for raws in iter(lambda: fh.readlines(_TEXT_CHUNK), []):
+            seen += len(raws)
             part = parse_rows(b"".join(raws), 2 * b) if bulk is None else None
             if part is None:
                 if bulk is None:
@@ -364,8 +369,14 @@ def read_loads(path) -> LoadMatrix:
             end = rows + len(part)
             if end > len(table):
                 # the first block; or lone '\r' line ends, or no final
-                # newline, which the count of the rest missed
-                grown = np.empty((end + _count_newlines(fh), 2 * b))
+                # newline, which a count of the '\n' misses.  The rest is
+                # taken to hold as many rows per '\n' line as the lines
+                # read, and at least one: an LF table is sized once, exactly
+                if lines is None:
+                    lines = seen + _count_newlines(fh)
+                left = max(0, lines - seen)
+                more = -(-left * max(end, seen) // seen)  # rounded up
+                grown = np.empty((end + more, 2 * b))
                 grown[:rows] = table[:rows]
                 table = grown
             table[rows:end] = part

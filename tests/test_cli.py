@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from tpflow import twobus
+from tpflow import dense, twobus
 from tpflow.cli import main
 from tpflow.fpi import SolveOptions
 
@@ -38,7 +39,12 @@ def loads_path(tmp_path, net_path):
 
 
 class TestSolve:
-    def test_row_count_matches_tau(self, tmp_path, net_path, loads_path):
+    def test_row_count_matches_tau(self, tmp_path, net_path, loads_path,
+                                   monkeypatch):
+        # four chunks of at most 7 cases, and one BLAS thread: every usable
+        # core but none beyond the three chunks after the first solves one
+        monkeypatch.setattr(dense, "_CHUNK_BYTES", 16 * 8 * 7)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         out = tmp_path / "v.csv"
         assert run([
             "solve", "--network", net_path, "--loads", loads_path,
@@ -55,6 +61,8 @@ class TestSolve:
                                "write_voltages"}
         assert all(t > 0 for t in phases.values())
         assert phases["solve"] == meta["wall_seconds"]
+        assert meta["usable_cores"] == len(os.sched_getaffinity(0))
+        assert meta["chunk_workers"] == min(3, meta["usable_cores"])
 
     def test_sparse_equals_dense(self, tmp_path, net_path, loads_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

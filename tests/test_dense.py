@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -184,8 +185,24 @@ class TestChunks:
             monkeypatch.setattr(dense, "_CHUNK_BYTES", 1 << 40)
             whole[solver] = solver(nine_bus_model, loads)
         # 7 columns per chunk: six chunks, the stalled column in the second
+        # and 5 columns in the last
         monkeypatch.setattr(dense, "_CHUNK_BYTES", 16 * nine_bus_model.n_demand * 7)
-        chunked = {s: s(nine_bus_model, loads) for s in whole}
+        chunked = {}
+        threads = threading.active_count()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dense, "_chunk_workers", lambda chunks: workers)
+            for solver in whole:
+                out = solver(nine_bus_model, loads)
+                assert out.chunk_workers == workers
+                assert threading.active_count() == threads
+                # each chunk's bits, whichever thread solved it
+                ref = chunked.setdefault(solver, out)
+                assert np.array_equal(out.values.view(np.uint64),
+                                      ref.values.view(np.uint64))
+                assert np.array_equal(out.residuals.view(np.uint64),
+                                      ref.residuals.view(np.uint64))
+                assert np.array_equal(out.converged_mask, ref.converged_mask)
+                assert out.iterations == ref.iterations
         for solver, out in chunked.items():
             ref = whole[solver]
             assert not out.converged_mask[13] and out.converged_mask.sum() == 39
@@ -230,8 +247,10 @@ class TestChunks:
         if stalled is not None:
             loads[:, stalled] *= 100.0
         width = data.draw(st.integers(1, tau), label="chunk columns")
+        workers = data.draw(st.integers(1, 3), label="chunk workers")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dense, "_CHUNK_BYTES", 16 * model.n_demand * width)
+            mp.setattr(dense, "_chunk_workers", lambda chunks: workers)
             out = batch_solve_sparse(model, LoadMatrix(loads))
         singles = [fpi_solve(model, loads[:, j]) for j in range(tau)]
         v = np.stack([r.v for r in singles], axis=1)
@@ -253,8 +272,10 @@ class TestChunks:
         model = with_zip(build_network(spec), 0.0, alpha_i, 1.0 - alpha_i)
         loads = LoadMatrix(gen_scenarios(model, tau, spec).values)
         width = data.draw(st.integers(1, tau), label="chunk columns")
+        workers = data.draw(st.integers(1, 3), label="chunk workers")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dense, "_CHUNK_BYTES", 16 * model.n_demand * width)
+            mp.setattr(dense, "_chunk_workers", lambda chunks: workers)
             out = batch_solve_dense(model, loads)
             ref = batch_solve_sparse(model, loads)
         assert out.converged_mask.all()
@@ -277,11 +298,20 @@ class TestChunks:
         loads[:, stalled] *= 100.0
         rest = np.delete(loads, stalled, axis=1)
         width = data.draw(st.integers(1, tau), label="chunk columns")
+        workers = data.draw(st.integers(2, 3), label="chunk workers")
         for solver in (batch_solve_sparse, batch_solve_dense):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(dense, "_CHUNK_BYTES", 16 * model.n_demand * width)
+                mp.setattr(dense, "_chunk_workers", lambda chunks: 1)
                 out = solver(model, LoadMatrix(loads))
                 ref = solver(model, LoadMatrix(rest))
+                mp.setattr(dense, "_chunk_workers", lambda chunks: workers)
+                shared = solver(model, LoadMatrix(loads))
+            # the same bits, the stalled column's too, on any worker count
+            assert np.array_equal(shared.values.view(np.uint64),
+                                  out.values.view(np.uint64))
+            assert np.array_equal(shared.converged_mask, out.converged_mask)
+            assert shared.iterations == out.iterations
             assert not out.converged_mask[stalled]
             others = np.delete(out.values, stalled, axis=1)
             assert np.array_equal(
@@ -294,6 +324,32 @@ class TestChunks:
                 # the GEMM's blocking follows the chunk's width, which moves
                 # the last bits in about half the draws
                 assert np.abs(others - ref.values).max() < 1e-12
+
+    @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
+    def test_failing_chunk_raises_after_helpers_end(self, nine_bus_model,
+                                                    monkeypatch, solver):
+        loads = feasible_batch(nine_bus_model, 40, seed=31)
+        third = loads.values[:, 14:21]
+
+        class ChunkFailed(Exception):
+            pass
+
+        failure = ChunkFailed("third chunk")
+        solve_chunk = dense.solve_chunk
+
+        def failing(model, s, apply_z, opts):
+            if np.array_equal(s, third):
+                raise failure
+            return solve_chunk(model, s, apply_z, opts)
+
+        monkeypatch.setattr(dense, "solve_chunk", failing)
+        monkeypatch.setattr(dense, "_CHUNK_BYTES", 16 * nine_bus_model.n_demand * 7)
+        monkeypatch.setattr(dense, "_chunk_workers", lambda chunks: 3)
+        threads = threading.active_count()
+        with pytest.raises(ChunkFailed) as err:
+            solver(nine_bus_model, loads)
+        assert err.value is failure
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
     def test_scratch_memory_does_not_grow_with_tau(self, nine_bus_model, solver):
@@ -311,6 +367,58 @@ class TestChunks:
             kept = out.values.nbytes + out.converged_mask.nbytes + out.residuals.nbytes
             scratch.append(peak - kept)
         assert scratch[1] < 1.25 * scratch[0], scratch
+
+
+class TestChunkWorkers:
+    """One worker per core the BLAS threads leave idle, as OpenBLAS reads
+    its thread count from the environment."""
+
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        for var in dense._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+
+        def cores(n):
+            monkeypatch.setattr(dense.os, "sched_getaffinity",
+                                lambda pid: set(range(n)))
+        return cores
+
+    def test_unset_leaves_blas_every_core(self, cores):
+        cores(4)
+        assert dense._chunk_workers(100) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_one_blas_thread_frees_every_core(self, cores, monkeypatch, n):
+        cores(n)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert dense._chunk_workers(100) == n
+        assert dense.usable_cores() == n
+
+    def test_blas_threads_on_every_core(self, cores, monkeypatch):
+        cores(2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert dense._chunk_workers(100) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", ""])
+    def test_bad_value_counts_as_unset(self, cores, monkeypatch, value):
+        cores(2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        assert dense._chunk_workers(100) == 1
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert dense._chunk_workers(100) == 2
+
+    def test_openblas_order_of_precedence(self, cores, monkeypatch):
+        cores(4)
+        monkeypatch.setenv("OMP_NUM_THREADS", "4")
+        monkeypatch.setenv("GOTO_NUM_THREADS", "2")
+        assert dense._chunk_workers(100) == 2
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert dense._chunk_workers(100) == 4
+
+    def test_capped_at_chunk_count(self, cores, monkeypatch):
+        cores(8)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert [dense._chunk_workers(c) for c in (0, 1, 3, 8, 9)] == [1, 1, 3, 8, 8]
 
 
 def test_voltage_batch_accessors():

@@ -390,6 +390,25 @@ class TestLoadText:
         assert str(err.value).endswith(
             "loads.csv: line 42: non-finite q_1 = nan")
 
+    def test_mixed_line_ends_read_as_lf_in_one_count(self, tmp_path, monkeypatch):
+        # lone '\r' and '\n' line ends drawn at random over about 60 blocks:
+        # the rows per '\n' line read so far size the table, so the rest is
+        # counted once, not at every block the estimate falls short
+        rng = np.random.default_rng(3)
+        rows = [f"{p:.17g},{q:.17g}" for p, q in rng.normal(size=(600, 2))]
+        ends = rng.choice(["\r", "\n"], size=len(rows))
+        mixed = "p_1,q_1\n" + "".join(r + e for r, e in zip(rows, ends))
+        lf = "p_1,q_1\n" + "".join(r + "\n" for r in rows)
+        monkeypatch.setattr(fileio, "_TEXT_CHUNK", 256)
+        counts = []
+        count_newlines = fileio._count_newlines
+        monkeypatch.setattr(fileio, "_count_newlines",
+                            lambda fh: counts.append(1) or count_newlines(fh))
+        values = self._read(tmp_path, mixed.encode())
+        assert len(counts) == 1
+        assert np.array_equal(values.view(np.uint64),
+                              self._read(tmp_path, lf.encode()).view(np.uint64))
+
     def test_conversion_fault_before_non_finite(self, tmp_path):
         with pytest.raises(FileFormatError) as err:
             self._read(tmp_path, b"p_1,q_1\n0.1,nan\n0.3,hello\n")
