@@ -5,7 +5,8 @@ Each cell times one full solve, including per-method setup (matrix
 inversion, factorization, per-case assembly) but excluding file I/O and
 network generation.  The wall time recorded is the median of the timed
 repeats, on the monotonic clock, after the warm-up runs: ``warmup`` of them
-and then more until two in a row agree (see ``_WARMUP_CAP``).
+and then more until two in a row agree and a second has passed (see
+``_WARMUP_CAP``).
 """
 
 from __future__ import annotations
@@ -131,9 +132,12 @@ def run_benchmark(config: BenchConfig) -> list[BenchRecord]:
 # A BLAS thread pool can stall the first solves of a process for several
 # times their settled duration, so a cell that warms up at all keeps warming
 # up until two consecutive runs agree within _WARMUP_AGREEMENT, at most
-# _WARMUP_CAP runs in all.
+# _WARMUP_CAP runs in all.  After an idle spell such a stall held a 2 ms
+# solve at about 200 ms for about a second, long enough for stalled runs to
+# agree with each other, so the warm-up also lasts _WARMUP_SECONDS.
 _WARMUP_CAP = 10
 _WARMUP_AGREEMENT = 0.1
+_WARMUP_SECONDS = 1.0
 
 
 def _warming_up(warm: list[float], warmup: int) -> bool:
@@ -142,7 +146,7 @@ def _warming_up(warm: list[float], warmup: int) -> bool:
         return True
     if warmup == 0 or len(warm) >= _WARMUP_CAP:
         return False
-    if len(warm) < 2:
+    if len(warm) < 2 or sum(warm) < _WARMUP_SECONDS:
         return True
     a, b = warm[-2:]
     return abs(a - b) > _WARMUP_AGREEMENT * min(a, b)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fpi import SolveOptions, fpi_solve, solve_chunk
+from .fpi import SolveOptions, fpi_solve, shared_terms, solve_chunk
 from .network import NetworkModel
 
 __all__ = ["LoadMatrix", "VoltageBatch", "batch_solve_dense"]
@@ -123,7 +123,9 @@ def solve_columns(
     b x tau array; it is built once per batch.  With no constant-impedance
     share (``alpha_z = 0``, so ``B = Y_dd`` for every case) each chunk of
     columns runs through :func:`tpflow.fpi.solve_chunk`, the single-case
-    solver's own terms, iteration and converged rule.  A model with some
+    solver's own terms, iteration and converged rule; the terms every chunk
+    shares (:func:`tpflow.fpi.shared_terms`) are computed once, on the
+    calling thread, before the first chunk.  A model with some
     ``alpha_z != 0`` has a different ``B`` per case and goes case by case
     through :func:`tpflow.fpi.fpi_solve`.
 
@@ -153,6 +155,7 @@ def solve_columns(
 
     b, tau = loads.values.shape
     apply_z = make_z(model.admittance.y_dd)
+    src, w = shared_terms(model, apply_z)
     width = max(1, _CHUNK_BYTES // (16 * b))
     chunks = [slice(j, min(j + width, tau)) for j in range(0, tau, width)]
     mask = np.empty(tau, dtype=bool)
@@ -164,7 +167,7 @@ def solve_columns(
         nonlocal v
         cols = chunks[k]
         run, res, converged = solve_chunk(
-            model, loads.values[:, cols], apply_z, opts
+            model, loads.values[:, cols], apply_z, opts, src, w
         )
         if v is None:
             # chunk 0, before any helper starts.  Allocated once its scratch

@@ -19,7 +19,8 @@ batches and the two-bus basin scan) runs the same update through
 :func:`fixed_point`; they differ only in how they apply ``B^(-1)``.  The
 single-case solver and the batch driver share one chunk solve,
 :func:`solve_chunk`, which builds ``a`` and ``w``, iterates and decides
-which cases converged.
+which cases converged; the terms shared by every case of a batch come from
+:func:`shared_terms`, once per batch.
 """
 
 from __future__ import annotations
@@ -73,6 +74,19 @@ def factorize(matrix):
     :class:`SingularSystemError` naming structurally empty rows/columns when
     those are the cause.
 
+    SuperLU runs in its symmetric mode: the columns are ordered by minimum
+    degree on the pattern of ``A + A^T``, and a diagonal pivot is taken
+    whenever it passes scipy's default threshold, so partial pivoting still
+    moves off a small or zero diagonal entry.  A branch-built ``Y_dd`` is
+    complex symmetric, and on it the factors solve faster than under the
+    default COLAMD order, with about the same fill and no slower a
+    factorization.  On one core of a shared 2-core x86 machine, symmetric
+    against COLAMD: a 1,001-bus feeder's 16-column chunk took 14.8 against
+    21.4 us per column and one column 35 against 57 us; a 101-bus feeder's
+    163-column chunk 1.1 against 2.1 us per column and one column 5.6
+    against 8.7 us.  The mode is correct for a non-symmetric matrix too,
+    only not tuned for one.
+
     ``scipy.sparse.linalg``, and with it ``scipy.linalg``, is imported on
     the first call: about 90 modules that a run factorizing nothing, such as
     a dense batch, never loads.
@@ -84,7 +98,7 @@ def factorize(matrix):
     if m.shape[0] != m.shape[1]:
         raise ValueError("factorize requires a square matrix")
     try:
-        lu = splu(m)
+        lu = splu(m, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
     except RuntimeError as exc:
         empty_rows = np.where(np.diff(m.tocsr().indptr) == 0)[0]
         empty_cols = np.where(np.diff(m.indptr) == 0)[0]
@@ -255,37 +269,51 @@ def fixed_point(
     )
 
 
+def shared_terms(
+    model: NetworkModel, apply_z
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The terms of :func:`solve_chunk` that every chunk of a batch shares.
+
+    Returns the b x 1 source injection ``Y_ds v_s`` and, with no
+    constant-current share, the no-load voltage ``w = B^(-1)(-Y_ds v_s)``,
+    one b x 1 column that every case shares.  With a constant-current
+    share ``w`` has a column per case and is left to :func:`solve_chunk`
+    (``None``).
+    A batch computes both once, on the calling thread, not once per chunk:
+    on the sparse path ``w`` would add one LU solve to each chunk's one per
+    iteration.
+    """
+    src = model.source_injection()[:, None]
+    return src, (None if model.zip.alpha_i.any() else apply_z(-src))
+
+
 def solve_chunk(
-    model: NetworkModel, s: np.ndarray, apply_z, opts: SolveOptions
+    model: NetworkModel, s: np.ndarray, apply_z, opts: SolveOptions,
+    src: np.ndarray, w: np.ndarray | None,
 ) -> tuple[FixedPointRun, np.ndarray, np.ndarray]:
     """Solve the b x m loads ``s`` with ``apply_z`` applying ``B^(-1)``.
 
     Runs :func:`fixed_point` from :func:`start_voltage` with
-    ``a = -alpha_p . s*`` and ``w = B^(-1)(-(Y_ds v_s + alpha_i . s*))``;
-    with no constant-current share ``w`` is the no-load voltage, one b x 1
-    column shared by every case.  ``apply_z`` must account for any
-    constant-impedance share in ``B``.  Returns the run, the power residual
-    of each case and the converged mask: a case is converged when its step
-    met ``opts.tolerance`` and its residual is under
-    ``opts.residual_tolerance``.
+    ``a = -alpha_p . s*`` and ``w = B^(-1)(-(Y_ds v_s + alpha_i . s*))``.
+    ``src`` and ``w`` are :func:`shared_terms` of ``model`` and
+    ``apply_z``: a ``w`` of ``None`` is built here, one column per case.
+    ``apply_z`` must account for any constant-impedance share in ``B``.
+    Returns the run, the power residual of each case and the converged
+    mask: a case is converged when its step met ``opts.tolerance`` and its
+    residual is under ``opts.residual_tolerance``.
     """
     zc = model.zip
-    src = model.source_injection()[:, None]
     # s* in Fortran order, then scaled in place to a = -alpha_p . s*
     a = np.conjugate(s, out=np.empty(s.shape, dtype=complex, order="F"))
-    if zc.alpha_i.any():
-        # a constant-current share makes w one column per case
+    if w is None:
         w = apply_z(-(src + zc.alpha_i[:, None] * a))
-    else:
-        # the no-load voltage, shared by every column
-        w = apply_z(-src)
     a *= -zc.alpha_p[:, None]
     run = fixed_point(
         apply_z, a, w, start_voltage(model, opts, s.shape[1]),
         opts.tolerance, opts.max_iterations,
     )
     with np.errstate(invalid="ignore", over="ignore"):
-        residuals = residual_per_case(model, run.v, s)
+        residuals = residual_per_case(model, run.v, s, src)
     converged = (run.first_converged > 0) & (residuals < opts.residual_tolerance)
     return run, residuals, converged
 
@@ -300,8 +328,9 @@ def fpi_solve(
     post-check; non-convergence is reported in the result, not raised.
     """
     s = np.asarray(s, dtype=complex).ravel()
+    apply_z = _factorize_b(model, s).solve
     run, residuals, converged = solve_chunk(
-        model, s[:, None], _factorize_b(model, s).solve, opts
+        model, s[:, None], apply_z, opts, *shared_terms(model, apply_z)
     )
     diagnostic = None
     if run.non_finite[0]:
@@ -340,14 +369,20 @@ def zip_power(model: NetworkModel, v: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def residual_per_case(
-    model: NetworkModel, v: np.ndarray, s: np.ndarray
+    model: NetworkModel, v: np.ndarray, s: np.ndarray,
+    src: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Max nodal power-balance error; columns are cases for 2-D input."""
+    """Max nodal power-balance error; columns are cases for 2-D input.
+
+    ``src`` is ``model``'s source injection shaped to broadcast against
+    ``v``, as :func:`shared_terms` gives it; computed here when not given.
+    """
     v = np.asarray(v, dtype=complex)
     s = np.asarray(s, dtype=complex)
-    src = model.source_injection()
-    if v.ndim == 2:
-        src = src[:, None]
+    if src is None:
+        src = model.source_injection()
+        if v.ndim == 2:
+            src = src[:, None]
     mismatch = zip_power(model, v, s) + v * np.conj(src + model.admittance.y_dd @ v)
     return np.abs(mismatch).max(axis=0)
 

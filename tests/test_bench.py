@@ -54,6 +54,8 @@ class TestRunBenchmark:
         (1, [9.0, 5.0, 5.2, 1.0, 2.0, 3.0], 3),  # 5.0 and 5.2 agree within 10%
         (1, [1.0, 9.0] * 5 + [1.0, 2.0, 3.0], 10),  # never agree: the cap
         (3, [5.0, 5.0, 5.0, 1.0, 2.0, 3.0], 3),  # agreed before the minimum
+        # a stall: runs that agree, but not yet a second of them
+        (1, [0.3, 0.3, 0.3, 0.3, 1.0, 2.0, 3.0], 4),
     ])
     def test_warmup_until_two_runs_agree(self, monkeypatch, warmup, timings,
                                          n_warm):

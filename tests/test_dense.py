@@ -8,13 +8,13 @@ from scipy.sparse.linalg import spsolve
 
 from tpflow import dense
 from tpflow.dense import LoadMatrix, VoltageBatch, batch_solve_dense
-from tpflow.fpi import SolveOptions, factorization_count, fpi_solve
-from tpflow.network import NetworkModel, ZipCoefficients
+from tpflow.fpi import SolveOptions, factorization_count, factorize, fpi_solve
+from tpflow.network import Branch, NetworkModel, ZipCoefficients
 from tpflow.newton import nr_solve
 from tpflow.sparse import batch_solve_sparse
-from tpflow.synth import GenSpec, build_network, gen_scenarios
+from tpflow.synth import GenSpec, build_network, gen_kary_tree, gen_scenarios
 
-from conftest import feasible_batch, two_bus_model
+from conftest import feasible_batch, phase_coupled_model, two_bus_model
 
 V_HIGH = (1 + np.sqrt(0.96)) / 2
 
@@ -31,6 +31,29 @@ def with_zip(model, alpha_z, alpha_i, alpha_p):
         ),
         branches=model.branches,
     )
+
+
+def drawn_feeder(topology, n_buses, seed):
+    """A model of ``n_buses`` buses and the spec its loads are drawn from.
+
+    ``"radial"`` is the ``GenSpec`` tree; ``"meshed"`` closes one to five
+    loops in it between seeded bus pairs; ``"phase-coupled"`` is conftest's
+    asymmetric, fully coupled ``y_dd``.  Neither of the last two is a tree,
+    so their load scaling reads the Thevenin impedance off an LU too.
+    """
+    spec = GenSpec(n_buses=n_buses, seed=seed)
+    rng = np.random.default_rng(seed)
+    if topology == "phase-coupled":
+        return phase_coupled_model(rng, n_buses - 1), spec
+    branches = gen_kary_tree(spec)
+    if topology == "meshed":
+        for _ in range(rng.integers(1, 6)):
+            i, j = rng.choice(n_buses, size=2, replace=False)
+            branches.append(Branch(int(i), int(j), *rng.uniform(0.001, 0.01, 2)))
+    return NetworkModel.from_branches(branches, n_buses), spec
+
+
+TOPOLOGIES = st.sampled_from(["radial", "meshed", "phase-coupled"])
 
 
 class TestLoadMatrix:
@@ -228,19 +251,21 @@ class TestChunks:
             ref = fpi_solve(model, loads.values[:, j])
             assert np.abs(out.values[:, j] - ref.v).max() < 1e-12
 
-    @settings(max_examples=25)
+    @settings(max_examples=30)
     @given(
+        topology=TOPOLOGIES,
         n_buses=st.integers(10, 50),
         seed=st.integers(0, 2**16),
         alpha_i=st.floats(0.0, 1.0, exclude_max=True),
         tau=st.integers(1, 40),
         data=st.data(),
     )
-    def test_sparse_batch_is_per_case_solve(self, n_buses, seed, alpha_i, tau, data):
+    def test_sparse_batch_is_per_case_solve(self, topology, n_buses, seed,
+                                            alpha_i, tau, data):
         # one LU and one chunk solve serve both paths, so each column of a
         # chunked sparse batch is the single-case answer to the bit
-        spec = GenSpec(n_buses=n_buses, seed=seed)
-        model = with_zip(build_network(spec), 0.0, alpha_i, 1.0 - alpha_i)
+        feeder, spec = drawn_feeder(topology, n_buses, seed)
+        model = with_zip(feeder, 0.0, alpha_i, 1.0 - alpha_i)
         loads = gen_scenarios(model, tau, spec).values.copy()
         # a column overloaded x100 has no root and runs to the cap
         stalled = data.draw(st.none() | st.integers(0, tau - 1), label="stalled")
@@ -258,18 +283,19 @@ class TestChunks:
         assert out.converged_mask.tolist() == [r.converged for r in singles]
         assert out.iterations == max(r.iterations for r in singles)
 
-    @settings(max_examples=10)
+    @settings(max_examples=15)
     @given(
+        topology=TOPOLOGIES,
         n_buses=st.integers(10, 50),
         seed=st.integers(0, 2**16),
         alpha_i=st.floats(0.0, 1.0, exclude_max=True),
         tau=st.integers(1, 40),
         data=st.data(),
     )
-    def test_dense_and_sparse_batches_agree(self, n_buses, seed, alpha_i, tau,
-                                            data):
-        spec = GenSpec(n_buses=n_buses, seed=seed)
-        model = with_zip(build_network(spec), 0.0, alpha_i, 1.0 - alpha_i)
+    def test_dense_and_sparse_batches_agree(self, topology, n_buses, seed,
+                                            alpha_i, tau, data):
+        feeder, spec = drawn_feeder(topology, n_buses, seed)
+        model = with_zip(feeder, 0.0, alpha_i, 1.0 - alpha_i)
         loads = LoadMatrix(gen_scenarios(model, tau, spec).values)
         width = data.draw(st.integers(1, tau), label="chunk columns")
         workers = data.draw(st.integers(1, 3), label="chunk workers")
@@ -337,10 +363,10 @@ class TestChunks:
         failure = ChunkFailed("third chunk")
         solve_chunk = dense.solve_chunk
 
-        def failing(model, s, apply_z, opts):
+        def failing(model, s, *args):
             if np.array_equal(s, third):
                 raise failure
-            return solve_chunk(model, s, apply_z, opts)
+            return solve_chunk(model, s, *args)
 
         monkeypatch.setattr(dense, "solve_chunk", failing)
         monkeypatch.setattr(dense, "_CHUNK_BYTES", 16 * nine_bus_model.n_demand * 7)
@@ -350,6 +376,39 @@ class TestChunks:
             solver(nine_bus_model, loads)
         assert err.value is failure
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("alpha_i, no_load_solves", [(0.0, 1), (0.3, 0)])
+    @pytest.mark.parametrize("make_z", [dense._dense_z,
+                                        lambda y_dd: factorize(y_dd).solve],
+                             ids=["dense", "sparse"])
+    def test_no_load_voltage_solved_once_per_batch(self, nine_bus_model,
+                                                   monkeypatch, make_z,
+                                                   alpha_i, no_load_solves):
+        # every column runs to the cap, so each iteration maps a whole chunk
+        # of 7 (or, last, 5) columns and only the shared w is a b x 1 solve;
+        # a constant-current share gives w a column per case, per chunk
+        model = with_zip(nine_bus_model, 0.0, alpha_i, 1.0 - alpha_i)
+        loads = feasible_batch(nine_bus_model, 40, seed=31)
+        opts = SolveOptions(tolerance=1e-16, max_iterations=3,
+                            residual_tolerance=np.inf)
+        monkeypatch.setattr(dense, "_CHUNK_BYTES", 16 * model.n_demand * 7)
+        monkeypatch.setattr(dense, "_chunk_workers", lambda chunks: 2)
+        widths = []
+
+        def counted(y_dd):
+            apply_z = make_z(y_dd)
+
+            def apply(u):
+                widths.append(u.shape[1])
+                return apply_z(u)
+            return apply
+
+        out = dense.solve_columns(model, loads, opts, counted)
+        assert out.iterations == 3 and out.chunk_workers == 2
+        assert widths.count(1) == no_load_solves
+        chunks = 6
+        per_case_w = chunks if alpha_i else 0
+        assert len(widths) == no_load_solves + per_case_w + 3 * chunks
 
     @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
     def test_scratch_memory_does_not_grow_with_tau(self, nine_bus_model, solver):

@@ -11,6 +11,12 @@ from conftest import feasible_batch, two_bus_model
 V_HIGH = (1 + np.sqrt(0.96)) / 2
 
 
+def diagonally_dominant(n=100):
+    dense = sp.random(n, n, density=0.05, random_state=36).toarray()
+    dense = dense + 1j * sp.random(n, n, density=0.05, random_state=37).toarray()
+    return dense + np.diag(np.abs(dense).sum(axis=1) + 1.0)
+
+
 class TestFactorize:
     def test_identity_solve(self):
         lu = factorize(sp.eye(5, format="csc"))
@@ -21,12 +27,17 @@ class TestFactorize:
         lu = factorize(sp.csc_matrix(np.array([[2.0, 0.0], [0.0, 4.0]])))
         assert lu.solve(np.array([2.0 + 0j, 4.0])) == pytest.approx([1.0, 1.0])
 
-    def test_random_diagonally_dominant_residual(self):
+    @pytest.mark.parametrize("dense", [
+        pytest.param(diagonally_dominant(), id="diagonally-dominant"),
+        # nonsingular, with a zero and two tiny diagonal entries: the
+        # symmetric mode must still pivot off the diagonal.  Taking the
+        # diagonal pivots (a threshold of 0) leaves a residual of 3e-4
+        pytest.param(np.array([[0, 1, 1], [1, 1e-13, 1], [1, 1, 1e-13]])
+                     * (1 - 0.5j), id="zero-diagonal"),
+    ])
+    def test_solve_residual(self, dense):
         rng = np.random.default_rng(36)
-        n = 100
-        dense = sp.random(n, n, density=0.05, random_state=36).toarray()
-        dense = dense + 1j * sp.random(n, n, density=0.05, random_state=37).toarray()
-        dense += np.diag(np.abs(dense).sum(axis=1) + 1.0)
+        n = dense.shape[0]
         m = sp.csc_matrix(dense)
         lu = factorize(m)
         b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
