@@ -154,7 +154,7 @@ def solve_columns(
         return solve_cases(fpi_solve, model, loads, opts)
 
     b, tau = loads.values.shape
-    apply_z = make_z(model.admittance.y_dd)
+    apply_z = make_z(model.y_dd)
     src, w = shared_terms(model, apply_z)
     width = max(1, _CHUNK_BYTES // (16 * b))
     chunks = [slice(j, min(j + width, tau)) for j in range(0, tau, width)]

@@ -3,9 +3,11 @@
 Networks are JSON with the slack voltage, bus count, branch array and
 optional per-node ZIP triples; an optional ``admittance`` section carries
 coordinate triplets for Y_dd / Y_ds and overrides branch assembly (the route
-for polyphase or externally assembled systems).  :func:`read_network` parses
-a document under one error handler, so any malformed field, or one the model
-rejects, raises a :class:`FileFormatError` that names the file and the field.
+for polyphase or externally assembled systems).  :func:`write_network` writes
+that section for a model with no branches.  :func:`read_network` parses a
+document under one error handler, so any malformed field, or one the model
+rejects (a bad block shape, a non-finite value), raises a
+:class:`FileFormatError` that names the file and the field.
 
 Loads and voltages are comma-delimited text with one row per case; a load
 table may hold blank lines and CRLF line ends but no comments.  Every float
@@ -86,20 +88,11 @@ def write_network(path, model: NetworkModel) -> None:
             for br in model.branches
         ]
     else:
-        adm = model.admittance
-        y_dd = adm.y_dd.tocoo()
-        y_ds = adm.y_ds.tocoo()
-        doc["admittance"] = {
-            "n_demand": model.n_demand,
-            "y_dd": [
-                [int(i), int(j), v.real, v.imag]
-                for i, j, v in zip(y_dd.row, y_dd.col, y_dd.data)
-            ],
-            "y_ds": [
-                [int(i), int(j), v.real, v.imag]
-                for i, j, v in zip(y_ds.row, y_ds.col, y_ds.data)
-            ],
-        }
+        adm = doc["admittance"] = {"n_demand": model.n_demand}
+        for name, block in (("y_dd", model.y_dd), ("y_ds", model.y_ds)):
+            m = block.tocoo()
+            adm[name] = [[int(i), int(j), v.real, v.imag]
+                         for i, j, v in zip(m.row, m.col, m.data)]
     if not model.zip.is_constant_power:
         doc["zip"] = {
             "alpha_z": model.zip.alpha_z.tolist(),
@@ -160,9 +153,12 @@ def read_network(path) -> NetworkModel:
                     if not (0 <= i < shape[0] and 0 <= j < shape[1]):
                         raise ValueError(f"index ({i}, {j}) is outside the "
                                          f"{shape[0]} x {shape[1]} block")
-                    triplets.append((i, j, complex(re, im)))
+                    value = complex(re, im)
+                    if not np.isfinite(value):
+                        raise ValueError(f"value {value} is not finite")
+                    triplets.append((i, j, value))
                 blocks.append(_triplets_to_csc(triplets, shape))
-            model = NetworkModel.from_admittance(*blocks, slack=slack)
+            model = NetworkModel(*blocks, slack=slack)
         else:
             where = "document"
             raw = doc["branches"]

@@ -153,7 +153,7 @@ def _factorize_b(model: NetworkModel, s: np.ndarray):
     b = model.n_demand
     if s.shape[0] != b:
         raise ValueError(f"load vector sized {s.shape[0]}, expected {b}")
-    B = model.admittance.y_dd
+    B = model.y_dd
     if model.zip.alpha_z.any():
         B = sparse.diags(model.zip.alpha_z * np.conj(s)) + B
     return factorize(B)
@@ -383,7 +383,7 @@ def residual_per_case(
         src = model.source_injection()
         if v.ndim == 2:
             src = src[:, None]
-    mismatch = zip_power(model, v, s) + v * np.conj(src + model.admittance.y_dd @ v)
+    mismatch = zip_power(model, v, s) + v * np.conj(src + model.y_dd @ v)
     return np.abs(mismatch).max(axis=0)
 
 

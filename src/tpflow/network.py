@@ -4,11 +4,16 @@ nodal admittance system.
 Bus 0 is always the slack/source node. The remaining buses are demand nodes,
 indexed 1..b in file and branch terms; internally demand quantities use
 0-based positions 0..b-1. All quantities are per-unit.
+
+:class:`NetworkModel` holds the blocks ``y_dd`` and ``y_ds`` and checks them
+itself, so every way to build one meets the same rules; every value object
+here rejects a non-finite number with a :class:`NetworkError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -17,7 +22,6 @@ __all__ = [
     "Branch",
     "ZipCoefficients",
     "SlackSpec",
-    "PartitionedAdmittance",
     "NetworkModel",
     "NetworkError",
     "build_admittance",
@@ -40,6 +44,12 @@ class Branch:
     x: float
     b_shunt: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.r, self.x, self.b_shunt))):
+            raise NetworkError(
+                f"non-finite r, x or b_shunt on branch {self.from_bus}-{self.to_bus}"
+            )
+
     def series_admittance(self) -> complex:
         z = complex(self.r, self.x)
         if z == 0:
@@ -56,6 +66,8 @@ class SlackSpec:
     v_s: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.v_s):
+            raise NetworkError(f"slack voltage {self.v_s} is not finite")
         if abs(self.v_s) == 0:
             raise NetworkError("slack voltage magnitude must be positive")
 
@@ -77,6 +89,8 @@ class ZipCoefficients:
         ap = np.asarray(self.alpha_p, dtype=float)
         if not (az.shape == ai.shape == ap.shape) or az.ndim != 1:
             raise NetworkError("ZIP coefficient vectors must share one 1-D shape")
+        if not np.isfinite((az, ai, ap)).all():
+            raise NetworkError("ZIP coefficients must be finite")
         if np.any(az < 0) or np.any(ai < 0) or np.any(ap < 0):
             raise NetworkError("ZIP coefficients must be nonnegative")
         if np.max(np.abs(az + ai + ap - 1.0), initial=0.0) > 1e-12:
@@ -93,22 +107,6 @@ class ZipCoefficients:
     @property
     def is_constant_power(self) -> bool:
         return bool(np.all(self.alpha_p == 1.0))
-
-
-@dataclass(frozen=True)
-class PartitionedAdmittance:
-    """Demand-side blocks of the nodal admittance, stored sparse (CSC).
-
-    ``y_dd`` couples the demand nodes; ``y_ds`` couples them to the slack.
-    The solvers need nothing else.
-    """
-
-    y_dd: sparse.csc_matrix
-    y_ds: sparse.csc_matrix
-
-    @property
-    def n_demand(self) -> int:
-        return self.y_dd.shape[0]
 
 
 def _components(n: int, edges) -> tuple[int, np.ndarray]:
@@ -134,12 +132,14 @@ def _components(n: int, edges) -> tuple[int, np.ndarray]:
     return len(roots), labels
 
 
-def build_admittance(branches: list[Branch] | tuple[Branch, ...], n_buses: int) -> PartitionedAdmittance:
-    """Assemble the partitioned nodal admittance from a branch list.
+def build_admittance(
+    branches: list[Branch] | tuple[Branch, ...], n_buses: int
+) -> tuple[sparse.csc_matrix, sparse.csc_matrix]:
+    """The demand-side blocks ``(y_dd, y_ds)`` of the nodal admittance of a
+    branch list, partitioned with bus 0 as the slack row/column.
 
     Each branch stamps ``[[y, -y], [-y, y]]`` plus half its shunt susceptance
-    on each end's diagonal.  The result is partitioned with bus 0 as the
-    slack row/column.
+    on each end's diagonal.
     """
     if n_buses < 2:
         raise NetworkError("a network needs at least a slack and one demand bus")
@@ -170,7 +170,7 @@ def build_admittance(branches: list[Branch] | tuple[Branch, ...], n_buses: int) 
         cols += [j, i, i, j]
         vals += [-y, -y, y + h, y + h]
     full = sparse.coo_matrix((vals, (rows, cols)), shape=(n_buses, n_buses)).tocsc()
-    return PartitionedAdmittance(y_dd=full[1:, 1:].tocsc(), y_ds=full[1:, :1].tocsc())
+    return full[1:, 1:].tocsc(), full[1:, :1].tocsc()
 
 
 def radial_check(branches, n_buses: int) -> bool:
@@ -183,27 +183,41 @@ def radial_check(branches, n_buses: int) -> bool:
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Immutable network: branches, slack, ZIP coefficients and admittance."""
+    """Immutable network: admittance blocks, slack, ZIP mix and branches.
 
-    admittance: PartitionedAdmittance
+    ``y_dd`` (b x b) couples the demand nodes and ``y_ds`` (b x 1) couples
+    them to the slack, both stored as complex CSC; the solvers need nothing
+    else.  A matrix-supplied model (polyphase or externally assembled) is
+    ``NetworkModel(y_dd, y_ds, slack=...)`` and has no branches.
+    """
+
+    y_dd: sparse.csc_matrix
+    y_ds: sparse.csc_matrix
     slack: SlackSpec = SlackSpec()
     zip: ZipCoefficients = None  # type: ignore[assignment]
-    branches: tuple[Branch, ...] = field(default_factory=tuple)
+    branches: tuple[Branch, ...] = ()
 
     def __post_init__(self) -> None:
+        y_dd = sparse.csc_matrix(self.y_dd, dtype=complex)
+        y_ds = sparse.csc_matrix(self.y_ds, dtype=complex)
+        b = y_dd.shape[0]
+        if y_dd.shape != (b, b) or y_ds.shape != (b, 1):
+            raise NetworkError(f"y_dd shaped {y_dd.shape} and y_ds shaped "
+                               f"{y_ds.shape}, expected b x b and b x 1")
+        if not (np.isfinite(y_dd.data).all() and np.isfinite(y_ds.data).all()):
+            raise NetworkError("admittance blocks hold a non-finite entry")
+        object.__setattr__(self, "y_dd", y_dd)
+        object.__setattr__(self, "y_ds", y_ds)
         if self.zip is None:
-            object.__setattr__(
-                self, "zip", ZipCoefficients.constant_power(self.n_demand)
-            )
-        if self.zip.alpha_p.shape[0] != self.n_demand:
+            object.__setattr__(self, "zip", ZipCoefficients.constant_power(b))
+        if self.zip.alpha_p.shape[0] != b:
             raise NetworkError(
-                f"ZIP coefficients sized {self.zip.alpha_p.shape[0]}, "
-                f"expected {self.n_demand}"
+                f"ZIP coefficients sized {self.zip.alpha_p.shape[0]}, expected {b}"
             )
 
     @property
     def n_demand(self) -> int:
-        return self.admittance.n_demand
+        return self.y_dd.shape[0]
 
     @classmethod
     def from_branches(
@@ -213,37 +227,13 @@ class NetworkModel:
         slack: SlackSpec = SlackSpec(),
         zip_coeffs: ZipCoefficients | None = None,
     ) -> "NetworkModel":
-        adm = build_admittance(branches, n_buses)
-        return cls(
-            admittance=adm, slack=slack, zip=zip_coeffs, branches=tuple(branches)
-        )
-
-    @classmethod
-    def from_admittance(
-        cls,
-        y_dd,
-        y_ds,
-        slack: SlackSpec = SlackSpec(),
-        zip_coeffs: ZipCoefficients | None = None,
-    ) -> "NetworkModel":
-        """Build directly from demand-side admittance blocks.
-
-        This is the escape hatch for polyphase or externally assembled
-        systems: the solvers only need ``y_dd`` and ``y_ds``.
-        """
-        y_dd = sparse.csc_matrix(y_dd, dtype=complex)
-        y_ds = sparse.csc_matrix(y_ds, dtype=complex)
-        if y_dd.shape[0] != y_dd.shape[1]:
-            raise NetworkError("y_dd must be square")
-        if y_ds.shape[0] != y_dd.shape[0]:
-            raise NetworkError("y_ds row count must match y_dd")
-        adm = PartitionedAdmittance(y_dd=y_dd, y_ds=y_ds)
-        return cls(admittance=adm, slack=slack, zip=zip_coeffs)
+        y_dd, y_ds = build_admittance(branches, n_buses)
+        return cls(y_dd, y_ds, slack=slack, zip=zip_coeffs, branches=tuple(branches))
 
     def source_injection(self) -> np.ndarray:
         """Constant demand-side current term Y_ds * v_s, shape (n_demand,)."""
         return np.asarray(
-            self.admittance.y_ds @ np.array([self.slack.v_s]), dtype=complex
+            self.y_ds @ np.array([self.slack.v_s]), dtype=complex
         ).ravel()
 
 
@@ -261,23 +251,23 @@ def validate(model: NetworkModel) -> list[str]:
     from .fpi import SingularSystemError, factorize
 
     diags: list[str] = []
-    adm = model.admittance
-    i, j = adm.y_dd.nonzero()
-    n_comp, labels = _components(adm.n_demand, zip(i.tolist(), j.tolist()))
+    y_dd = model.y_dd
+    i, j = y_dd.nonzero()
+    n_comp, labels = _components(model.n_demand, zip(i.tolist(), j.tolist()))
     fed = np.zeros(n_comp, dtype=bool)
-    fed[labels[adm.y_ds.nonzero()[0]]] = True
+    fed[labels[model.y_ds.nonzero()[0]]] = True
     for comp in np.flatnonzero(~fed):
         nodes = np.flatnonzero(labels == comp).tolist()
         diags.append(f"disconnected component: demand nodes {nodes}")
 
-    defect = float(abs(adm.y_dd - adm.y_dd.T).max())
+    defect = float(abs(y_dd - y_dd.T).max())
     if defect > 1e-9:
         diags.append(
             f"admittance symmetry defect: max|Y_dd - Y_dd^T| = {defect:.6e}"
         )
 
     try:
-        factorize(adm.y_dd)
+        factorize(y_dd)
     except SingularSystemError as exc:
         diags.append(f"Y_dd {exc}")
     return diags

@@ -64,7 +64,7 @@ def nr_solve(
     b = model.n_demand
     if s.shape[0] != b:
         raise ValueError(f"load vector sized {s.shape[0]}, expected {b}")
-    y_dd = model.admittance.y_dd
+    y_dd = model.y_dd
     y = y_dd.tocoo()  # each real Jacobian block: Y_dd's pattern plus its diagonal
     r, c = (np.concatenate([k, np.arange(b, dtype=k.dtype)]) for k in (y.row, y.col))
     rows, cols = np.concatenate([r, r, r + b, r + b]), np.concatenate([c, c + b, c, c + b])

@@ -120,7 +120,7 @@ def _max_thevenin(model: NetworkModel) -> float:
         for v in order[1:]:
             z_path[v] = z_path[parent[v]] + z[parent[v], v]
         return float(np.abs(z_path[1:]).max())
-    zb = factorize(model.admittance.y_dd).solve(np.eye(model.n_demand, dtype=complex))
+    zb = factorize(model.y_dd).solve(np.eye(model.n_demand, dtype=complex))
     return float(np.abs(np.diag(zb)).max())
 
 

@@ -67,7 +67,7 @@ def phase_coupled_model(rng, n=6):
     np.fill_diagonal(y_dd, 0)
     np.fill_diagonal(y_dd, np.abs(y_dd).sum(axis=1) + 20.0)
     y_ds = -(y_dd @ np.ones(n))[:, None]
-    return NetworkModel.from_admittance(y_dd, y_ds)
+    return NetworkModel(y_dd, y_ds)
 
 
 def feasible_batch(model, tau, seed, scale=1.0):

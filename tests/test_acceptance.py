@@ -230,12 +230,12 @@ def test_criterion_7_zero_load_and_zip_limits():
         assert out.iterations <= 1, f"{solver.__name__}: {out.iterations}"
         from scipy.sparse.linalg import spsolve
 
-        no_load = spsolve(model.admittance.y_dd.tocsc(), -model.source_injection())
+        no_load = spsolve(model.y_dd.tocsc(), -model.source_injection())
         assert np.abs(out.values - no_load[:, None]).max() < 1e-12
 
     # alpha_z = 1: the fixed-point answer equals the direct linear solve
     zmodel = NetworkModel(
-        admittance=model.admittance, slack=model.slack,
+        model.y_dd, model.y_ds, slack=model.slack,
         zip=ZipCoefficients(alpha_z=np.ones(b), alpha_i=np.zeros(b),
                             alpha_p=np.zeros(b)),
         branches=model.branches,
@@ -246,7 +246,7 @@ def test_criterion_7_zero_load_and_zip_limits():
     from scipy.sparse.linalg import spsolve
 
     # the linear oracle from the model: (diag(s*) + Y_dd) v = -Y_ds v_s
-    B = diags(np.conj(s)) + zmodel.admittance.y_dd
+    B = diags(np.conj(s)) + zmodel.y_dd
     direct = spsolve(B.tocsc(), -zmodel.source_injection())
     assert res.converged
     assert np.abs(res.v - direct).max() < 1e-12

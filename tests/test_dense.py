@@ -12,7 +12,7 @@ from tpflow.fpi import SolveOptions, factorization_count, factorize, fpi_solve
 from tpflow.network import Branch, NetworkModel, ZipCoefficients
 from tpflow.newton import nr_solve
 from tpflow.sparse import batch_solve_sparse
-from tpflow.synth import GenSpec, build_network, gen_kary_tree, gen_scenarios
+from tpflow.synth import GenSpec, gen_kary_tree, gen_scenarios
 
 from conftest import feasible_batch, phase_coupled_model, two_bus_model
 
@@ -23,7 +23,7 @@ def with_zip(model, alpha_z, alpha_i, alpha_p):
     """``model`` with the same (alpha_z, alpha_i, alpha_p) at every node."""
     b = model.n_demand
     return NetworkModel(
-        admittance=model.admittance,
+        model.y_dd, model.y_ds,
         slack=model.slack,
         zip=ZipCoefficients(
             alpha_z=np.full(b, alpha_z), alpha_i=np.full(b, alpha_i),
@@ -127,7 +127,7 @@ class TestBatchSolve:
     def test_mixed_zip_routed_per_case(self, nine_bus_model, solver):
         b = nine_bus_model.n_demand
         model = NetworkModel(
-            admittance=nine_bus_model.admittance,
+            nine_bus_model.y_dd, nine_bus_model.y_ds,
             slack=nine_bus_model.slack,
             zip=ZipCoefficients(
                 alpha_z=np.full(b, 0.2), alpha_i=np.full(b, 0.1),
@@ -173,7 +173,7 @@ class TestBatchSolve:
         assert out.converged_mask.all() and out.iterations == 1
         # Y_dd v = -(Y_ds v_s + s*): the current injection does not depend on v
         rhs = -(model.source_injection()[:, None] + np.conj(loads.values))
-        direct = spsolve(model.admittance.y_dd, rhs)
+        direct = spsolve(model.y_dd, rhs)
         assert np.abs(out.values - direct).max() < 1e-12
 
     @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
@@ -186,6 +186,23 @@ class TestBatchSolve:
         assert out.converged_mask.all() and out.iterations == 1
         with pytest.raises(ValueError, match="initial voltage length"):
             solver(nine_bus_model, loads, SolveOptions(initial_voltage=solved[:3]))
+
+    @settings(max_examples=20)
+    @given(
+        topology=TOPOLOGIES,
+        n_buses=st.integers(10, 50),
+        seed=st.integers(0, 2**16),
+        tau=st.integers(1, 5),
+    )
+    def test_newton_agrees_with_every_column(self, topology, n_buses, seed, tau):
+        model, spec = drawn_feeder(topology, n_buses, seed)
+        loads = gen_scenarios(model, tau, spec).values
+        out = batch_solve_dense(model, LoadMatrix(loads))
+        assert out.converged_mask.all()
+        for j in range(tau):
+            res = nr_solve(model, loads[:, j])
+            assert res.converged
+            assert np.abs(res.v - out.values[:, j]).max() < 1e-8
 
     def test_zero_load_batch_single_iteration(self, nine_bus_model):
         loads = LoadMatrix(np.zeros((nine_bus_model.n_demand, 6), dtype=complex))
@@ -309,16 +326,18 @@ class TestChunks:
         assert out.iterations == ref.iterations
         assert np.abs(out.values - ref.values).max() < 1e-10
 
-    @settings(max_examples=10)
+    @settings(max_examples=20)
     @given(
+        # not phase-coupled: its strong source keeps a x100 column solvable
+        topology=st.sampled_from(["radial", "meshed"]),
         n_buses=st.integers(10, 50),
         seed=st.integers(0, 2**16),
         tau=st.integers(2, 40),
         data=st.data(),
     )
-    def test_overloaded_column_leaves_the_others(self, n_buses, seed, tau, data):
-        spec = GenSpec(n_buses=n_buses, seed=seed)
-        model = build_network(spec)
+    def test_overloaded_column_leaves_the_others(self, topology, n_buses, seed,
+                                                 tau, data):
+        model, spec = drawn_feeder(topology, n_buses, seed)
         loads = gen_scenarios(model, tau, spec).values.copy()
         stalled = data.draw(st.integers(0, tau - 1), label="stalled")
         loads[:, stalled] *= 100.0

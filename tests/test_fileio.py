@@ -68,22 +68,22 @@ class TestNetworkFiles:
         assert [(b.from_bus, b.to_bus, b.r, b.x) for b in back.branches] == \
             [(b.from_bus, b.to_bus, b.r, b.x) for b in model.branches]
         assert np.array_equal(
-            back.admittance.y_dd.toarray(), model.admittance.y_dd.toarray()
+            back.y_dd.toarray(), model.y_dd.toarray()
         )
 
     def test_round_trip_matrix_form(self, tmp_path, model):
-        direct = NetworkModel.from_admittance(
-            model.admittance.y_dd, model.admittance.y_ds, slack=model.slack
+        direct = NetworkModel(
+            model.y_dd, model.y_ds, slack=model.slack
         )
         path = tmp_path / "net.json"
         write_network(path, direct)
         back = read_network(path)
         assert not back.branches
         assert np.abs(
-            back.admittance.y_dd.toarray() - model.admittance.y_dd.toarray()
+            back.y_dd.toarray() - model.y_dd.toarray()
         ).max() == 0.0
         assert np.abs(
-            back.admittance.y_ds.toarray() - model.admittance.y_ds.toarray()
+            back.y_ds.toarray() - model.y_ds.toarray()
         ).max() == 0.0
 
     def test_matrix_section_overrides_branch_assembly(self, tmp_path, model):
@@ -99,12 +99,12 @@ class TestNetworkFiles:
         path.write_text(json.dumps(doc))
         back = read_network(path)
         assert back.n_demand == 1
-        assert back.admittance.y_dd.toarray()[0, 0] == 5.0
+        assert back.y_dd.toarray()[0, 0] == 5.0
 
     def test_round_trip_zip(self, tmp_path, model):
         b = model.n_demand
         zipped = NetworkModel(
-            admittance=model.admittance,
+            model.y_dd, model.y_ds,
             slack=model.slack,
             zip=ZipCoefficients(
                 alpha_z=np.full(b, 0.25), alpha_i=np.full(b, 0.25),
@@ -190,6 +190,16 @@ class TestNetworkFiles:
                                                   "alpha_i": [0.0] * 3,
                                                   "alpha_p": [1.0] * 3}),
                      "zip section: ", id="zip-wrong-size"),
+        pytest.param(_with(_BRANCH_DOC, ["branches", 0, "r"], float("nan")),
+                     "branch 0: ", id="branch-r-nan"),
+        pytest.param(_with(_BRANCH_DOC, ["slack_voltage", "re"], float("nan")),
+                     "slack_voltage: ", id="slack-nan"),
+        pytest.param(_with(_BRANCH_DOC, ["zip"], {"alpha_z": [float("nan"), 0.0],
+                                                  "alpha_i": [0.0] * 2,
+                                                  "alpha_p": [1.0] * 2}),
+                     "zip section: ", id="zip-alpha-nan"),
+        pytest.param(_with(_MATRIX_DOC, ["admittance", "y_dd", 1, 2], float("nan")),
+                     "y_dd entry 1: ", id="y_dd-value-nan"),
     ])
     def test_malformed_document_names_path_and_field(self, tmp_path, doc, head):
         path = tmp_path / "net.json"

@@ -42,7 +42,7 @@ class TestAssemble:
         res = fpi_solve(nine_bus_model, np.zeros(b),
                         SolveOptions(max_iterations=1, initial_voltage=start))
         # independent no-load voltage: solve Y_dd v = -Y_ds v_s directly
-        y_dd = nine_bus_model.admittance.y_dd
+        y_dd = nine_bus_model.y_dd
         rhs = -nine_bus_model.source_injection()
         expected = spsolve(y_dd.tocsc(), rhs)
         assert res.converged
@@ -51,7 +51,7 @@ class TestAssemble:
     def test_constant_impedance_is_linear(self, nine_bus_model):
         b = nine_bus_model.n_demand
         model = NetworkModel(
-            admittance=nine_bus_model.admittance,
+            nine_bus_model.y_dd, nine_bus_model.y_ds,
             slack=nine_bus_model.slack,
             zip=ZipCoefficients(
                 alpha_z=np.ones(b), alpha_i=np.zeros(b), alpha_p=np.zeros(b)
@@ -66,7 +66,7 @@ class TestAssemble:
         assert np.array_equal(again.v, res.v)
 
     def test_singular_b_reports_degenerate_nodes(self):
-        model = NetworkModel.from_admittance(
+        model = NetworkModel(
             y_dd=[[10.0, 0.0], [0.0, 0.0]], y_ds=[[-10.0], [0.0]]
         )
         with pytest.raises(SingularSystemError, match=r"rows \[1\]"):
@@ -90,7 +90,7 @@ class TestSolve:
         res = fpi_solve(nine_bus_model, np.zeros(nine_bus_model.n_demand))
         assert res.converged and res.iterations == 1
         expected = spsolve(
-            nine_bus_model.admittance.y_dd.tocsc(),
+            nine_bus_model.y_dd.tocsc(),
             -nine_bus_model.source_injection(),
         )
         assert np.abs(res.v - expected).max() < 1e-12
@@ -211,7 +211,7 @@ class TestResidual:
         rng = np.random.default_rng(4)
         mix = rng.dirichlet(np.ones(3), size=b).T
         model = NetworkModel(
-            admittance=nine_bus_model.admittance,
+            nine_bus_model.y_dd, nine_bus_model.y_ds,
             zip=ZipCoefficients(alpha_z=mix[0], alpha_i=mix[1], alpha_p=mix[2]),
         )
         loads = feasible_batch(nine_bus_model, 5, seed=5).values
@@ -253,9 +253,9 @@ class TestMatrixSuppliedModels:
     def test_matrix_route_matches_branch_route(self, nine_bus_model):
         from tpflow.newton import nr_solve
 
-        direct = NetworkModel.from_admittance(
-            nine_bus_model.admittance.y_dd,
-            nine_bus_model.admittance.y_ds,
+        direct = NetworkModel(
+            nine_bus_model.y_dd,
+            nine_bus_model.y_ds,
             slack=nine_bus_model.slack,
         )
         s = feasible_batch(nine_bus_model, 1, seed=17).values[:, 0]
@@ -328,7 +328,7 @@ class TestInvariants:
     def test_constant_impedance_limit_matches_linear_solve(self, nine_bus_model):
         b = nine_bus_model.n_demand
         model = NetworkModel(
-            admittance=nine_bus_model.admittance,
+            nine_bus_model.y_dd, nine_bus_model.y_ds,
             slack=nine_bus_model.slack,
             zip=ZipCoefficients(
                 alpha_z=np.ones(b), alpha_i=np.zeros(b), alpha_p=np.zeros(b)
@@ -338,6 +338,6 @@ class TestInvariants:
         s = feasible_batch(nine_bus_model, 1, seed=8).values[:, 0]
         res = fpi_solve(model, s)
         # alpha_z = 1: (diag(s*) + Y_dd) v = -Y_ds v_s
-        B = sparse.diags(np.conj(s)) + model.admittance.y_dd
+        B = sparse.diags(np.conj(s)) + model.y_dd
         direct = spsolve(B.tocsc(), -model.source_injection())
         assert np.abs(res.v - direct).max() < 1e-12

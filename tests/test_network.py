@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -26,29 +28,28 @@ def chain(n, r=0.1, x=0.0):
 
 def test_single_branch_assembly():
     # 1/z and -1/z by definition of nodal assembly
-    adm = build_admittance([Branch(0, 1, 0.1, 0.0)], 2)
-    assert adm.y_dd.toarray() == pytest.approx(np.array([[10.0 + 0j]]))
-    assert adm.y_ds.toarray() == pytest.approx(np.array([[-10.0 + 0j]]))
+    y_dd, y_ds = build_admittance([Branch(0, 1, 0.1, 0.0)], 2)
+    assert y_dd.toarray() == pytest.approx(np.array([[10.0 + 0j]]))
+    assert y_ds.toarray() == pytest.approx(np.array([[-10.0 + 0j]]))
 
 
 def test_two_branch_chain_assembly():
-    adm = build_admittance(chain(3, r=0.1), 3)
-    assert adm.y_dd.toarray() == pytest.approx(
+    y_dd, y_ds = build_admittance(chain(3, r=0.1), 3)
+    assert y_dd.toarray() == pytest.approx(
         np.array([[20.0, -10.0], [-10.0, 10.0]], dtype=complex)
     )
-    assert adm.y_ds.toarray() == pytest.approx(np.array([[-10.0], [0.0]], dtype=complex))
+    assert y_ds.toarray() == pytest.approx(np.array([[-10.0], [0.0]], dtype=complex))
 
 
 def test_nine_bus_tree_row_sums():
     # without shunts every full-matrix row sums to zero, so the Y_dd row sums
     # equal the negated Y_ds column
     branches = gen_kary_tree(GenSpec(n_buses=9, seed=42))
-    adm = build_admittance(branches, 9)
-    row_sums = np.asarray(adm.y_dd.sum(axis=1)).ravel()
-    y_ds = adm.y_ds.toarray().ravel()
-    assert np.abs(row_sums + y_ds).max() < 1e-10
+    y_dd, y_ds = build_admittance(branches, 9)
+    row_sums = np.asarray(y_dd.sum(axis=1)).ravel()
+    assert np.abs(row_sums + y_ds.toarray().ravel()).max() < 1e-10
     oracle = dense_stamp_oracle(branches, 9)
-    assert np.abs(adm.y_dd.toarray() - oracle[1:, 1:]).max() < 1e-12
+    assert np.abs(y_dd.toarray() - oracle[1:, 1:]).max() < 1e-12
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -62,15 +63,15 @@ def test_assembly_matches_stamp_oracle(seed):
         Branch(b.from_bus, b.to_bus, b.r, b.x, b_shunt=float(rng.uniform(0, 0.05)))
         for b in branches
     ]
-    adm = build_admittance(branches, n)
+    y_dd, y_ds = build_admittance(branches, n)
     oracle = dense_stamp_oracle(branches, n)
-    assert np.abs(adm.y_dd.toarray() - oracle[1:, 1:]).max() < 1e-12
-    assert np.abs(adm.y_ds.toarray() - oracle[1:, :1]).max() < 1e-12
+    assert np.abs(y_dd.toarray() - oracle[1:, 1:]).max() < 1e-12
+    assert np.abs(y_ds.toarray() - oracle[1:, :1]).max() < 1e-12
 
 
 def test_y_dd_symmetric_for_reciprocal_branches():
     branches = gen_kary_tree(GenSpec(n_buses=15, seed=11))
-    y_dd = build_admittance(branches, 15).y_dd.toarray()
+    y_dd = build_admittance(branches, 15)[0].toarray()
     assert np.abs(y_dd - y_dd.T).max() == 0.0
 
 
@@ -115,6 +116,46 @@ def test_self_loop_and_bad_endpoint_rejected():
         build_admittance([Branch(0, 5, 0.1, 0.0)], 2)
 
 
+@pytest.mark.parametrize("y_dd, y_ds", [
+    pytest.param(np.eye(3), np.ones((2, 1)), id="3x3-with-2x1"),
+    pytest.param(np.eye(3), np.ones((3, 2)), id="y_ds-3x2"),
+    pytest.param(np.ones((3, 2)), np.ones((3, 1)), id="y_dd-not-square"),
+])
+def test_bad_block_shapes_rejected_on_every_route(y_dd, y_ds):
+    with pytest.raises(NetworkError, match="expected b x b and b x 1"):
+        NetworkModel(y_dd, y_ds)
+    model = NetworkModel.from_branches(chain(4), 4)
+    with pytest.raises(NetworkError, match="expected b x b and b x 1"):
+        dataclasses.replace(model, y_dd=y_dd, y_ds=y_ds)
+
+
+def test_replace_checks_the_zip_size():
+    model = NetworkModel.from_branches(chain(4), 4)
+    with pytest.raises(NetworkError, match="ZIP coefficients sized 2, expected 3"):
+        dataclasses.replace(model, zip=ZipCoefficients.constant_power(2))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Branch(0, 1, _NAN, 0.1), id="branch-r"),
+    pytest.param(lambda: Branch(0, 1, 0.1, _INF), id="branch-x"),
+    pytest.param(lambda: Branch(0, 1, 0.1, 0.1, b_shunt=_NAN), id="branch-b_shunt"),
+    pytest.param(lambda: SlackSpec(complex(_NAN, 0.0)), id="slack"),
+    pytest.param(lambda: ZipCoefficients([_NAN, 0.0], [0.0, 0.0], [1.0, 1.0]),
+                 id="zip"),
+    pytest.param(lambda: NetworkModel([[_NAN]], [[-1.0]]), id="y_dd"),
+    pytest.param(lambda: NetworkModel([[1.0]], [[_INF]]), id="y_ds"),
+    pytest.param(lambda: dataclasses.replace(
+        NetworkModel.from_branches(chain(3), 3), y_ds=[[_NAN], [0.0]]),
+        id="replace"),
+])
+def test_non_finite_values_rejected(build):
+    with pytest.raises(NetworkError, match="finite"):
+        build()
+
+
 def test_validate_healthy_chain_is_clean():
     model = NetworkModel.from_branches(chain(4), 4)
     assert validate(model) == []
@@ -122,7 +163,7 @@ def test_validate_healthy_chain_is_clean():
 
 def test_validate_reports_isolated_node():
     # matrix-supplied model with a demand node coupled to nothing
-    model = NetworkModel.from_admittance(
+    model = NetworkModel(
         y_dd=[[10.0, 0.0], [0.0, 0.0]], y_ds=[[-10.0], [0.0]]
     )
     diags = validate(model)
@@ -142,12 +183,12 @@ def test_validate_reports_multi_node_island():
         [0, 0, -y, y + 0.1j],
     ], dtype=complex)
     y_ds = np.array([[-y], [0], [0], [0]], dtype=complex)
-    model = NetworkModel.from_admittance(y_dd=y_dd, y_ds=y_ds)
+    model = NetworkModel(y_dd=y_dd, y_ds=y_ds)
     assert validate(model) == ["disconnected component: demand nodes [2, 3]"]
 
 
 def test_validate_reports_symmetry_defect():
-    model = NetworkModel.from_admittance(
+    model = NetworkModel(
         y_dd=[[10.0, -5.0], [-4.0, 8.0]], y_ds=[[-5.0], [-4.0]]
     )
     diags = validate(model)

@@ -23,7 +23,7 @@ def test_no_load_flat_start_is_immediate(nine_bus_model):
     res = nr_solve(nine_bus_model, np.zeros(nine_bus_model.n_demand))
     assert res.converged and res.iterations <= 2
     expected = spsolve(
-        nine_bus_model.admittance.y_dd.tocsc(), -nine_bus_model.source_injection()
+        nine_bus_model.y_dd.tocsc(), -nine_bus_model.source_injection()
     )
     assert np.abs(res.v - expected).max() < 1e-10
 
@@ -76,7 +76,7 @@ def test_near_maximum_transfer_count_grows():
 
 
 def test_singular_jacobian_reported():
-    model = NetworkModel.from_admittance(
+    model = NetworkModel(
         y_dd=np.zeros((1, 1)), y_ds=np.zeros((1, 1))
     )
     res = nr_solve(model, [0.1 + 0.05j])
@@ -118,7 +118,7 @@ def test_zip_loads_supported(nine_bus_model):
 
     b = nine_bus_model.n_demand
     model = NetworkModel(
-        admittance=nine_bus_model.admittance,
+        nine_bus_model.y_dd, nine_bus_model.y_ds,
         slack=nine_bus_model.slack,
         zip=ZipCoefficients(
             alpha_z=np.full(b, 0.3), alpha_i=np.full(b, 0.2), alpha_p=np.full(b, 0.5)
@@ -137,7 +137,7 @@ def test_jacobian_matches_central_differences(which, nine_bus_model, monkeypatch
     # the phase-coupled y_dd is not symmetric, so it pins the (row, col) orientation
     rng = np.random.default_rng(18)
     model = nine_bus_model if which == "nine_bus" else phase_coupled_model(rng)
-    y_dd, src = model.admittance.y_dd, model.source_injection()
+    y_dd, src = model.y_dd, model.source_injection()
     b = model.n_demand
     patterns = []  # the (y, rows, cols) that nr_solve lays out for its steps
     fill = newton._jacobian

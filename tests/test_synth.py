@@ -145,8 +145,8 @@ class TestScenarios:
         spec = GenSpec(n_buses=30, seed=15)
         model = build_network(spec)
         fast = _max_thevenin(model)
-        matrix_model = NetworkModel.from_admittance(
-            model.admittance.y_dd, model.admittance.y_ds, slack=model.slack
+        matrix_model = NetworkModel(
+            model.y_dd, model.y_ds, slack=model.slack
         )
         slow = _max_thevenin(matrix_model)
         assert fast == pytest.approx(slow, rel=1e-10)
@@ -156,8 +156,8 @@ class TestScenarios:
         from tpflow.synth import _max_thevenin
 
         model = build_network(GenSpec(n_buses=1001, seed=15))
-        matrix_model = NetworkModel.from_admittance(
-            model.admittance.y_dd, model.admittance.y_ds, slack=model.slack
+        matrix_model = NetworkModel(
+            model.y_dd, model.y_ds, slack=model.slack
         )
         assert _max_thevenin(model) == pytest.approx(
             _max_thevenin(matrix_model), rel=1e-12
