@@ -3,16 +3,18 @@
 Load cases are stacked as columns of a bphi x tau :class:`LoadMatrix` and
 updated jointly:
 
-    V <- -Z_B (alpha_p . S* / V*) + W,   W = -Z_B (Y_ds v_s + alpha_i . S*)
+    V <- Z_B (A / V* + C),   A = -alpha_p . S*,   C = -(Y_ds v_s + alpha_i . S*)
 
-with Z_B = Y_dd^(-1) materialized once (dense); W is the no-load voltage
-broadcast across columns when there is no constant-current share.  One GEMM
-per iteration does the work of many independent solves.  The batch driver
-shared with the sparse path lives here too: it walks the columns in chunks
-of a fixed byte budget, so scratch memory does not grow with tau, solving
-each chunk with :func:`tpflow.fpi.solve_chunk` (the single-case solver's own
-chunk solve), and sends models with a constant-impedance share
-(``alpha_z != 0``, a different B per case) through the per-case loop.
+with Z_B = Y_dd^(-1) materialized once (dense); C is one column broadcast
+across the cases when there is no constant-current share.  This is the
+paper's ``V <- F (V*)^(-1) + W`` with ``F = -Z_B diag(alpha_p . s*)`` and
+``W = Z_B C``, folded into one GEMM per iteration, which does the work of
+many independent solves.  The batch driver shared with the sparse path
+lives here too: it walks the columns in chunks of a fixed byte budget, so
+scratch memory does not grow with tau, solving each chunk with
+:func:`tpflow.fpi.solve_chunk` (the single-case solver's own chunk solve),
+and sends models with a constant-impedance share (``alpha_z != 0``, a
+different B per case) through the per-case loop.
 
 The chunks are independent, and numpy releases the interpreter lock in
 ``matmul`` and in the elementwise kernels, so the driver solves them on as
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fpi import SolveOptions, fpi_solve, shared_terms, solve_chunk
+from .fpi import SolveOptions, fpi_solve, solve_chunk
 from .network import NetworkModel
 
 __all__ = ["LoadMatrix", "VoltageBatch", "batch_solve_dense"]
@@ -123,9 +125,9 @@ def solve_columns(
     b x tau array; it is built once per batch.  With no constant-impedance
     share (``alpha_z = 0``, so ``B = Y_dd`` for every case) each chunk of
     columns runs through :func:`tpflow.fpi.solve_chunk`, the single-case
-    solver's own terms, iteration and converged rule; the terms every chunk
-    shares (:func:`tpflow.fpi.shared_terms`) are computed once, on the
-    calling thread, before the first chunk.  A model with some
+    solver's own terms, iteration and converged rule; the source injection
+    ``Y_ds v_s`` that every chunk shares is computed once, on the calling
+    thread, before the first chunk.  A model with some
     ``alpha_z != 0`` has a different ``B`` per case and goes case by case
     through :func:`tpflow.fpi.fpi_solve`.
 
@@ -155,7 +157,7 @@ def solve_columns(
 
     b, tau = loads.values.shape
     apply_z = make_z(model.y_dd)
-    src, w = shared_terms(model, apply_z)
+    src = model.source_injection()[:, None]
     width = max(1, _CHUNK_BYTES // (16 * b))
     chunks = [slice(j, min(j + width, tau)) for j in range(0, tau, width)]
     mask = np.empty(tau, dtype=bool)
@@ -167,7 +169,7 @@ def solve_columns(
         nonlocal v
         cols = chunks[k]
         run, res, converged = solve_chunk(
-            model, loads.values[:, cols], apply_z, opts, src, w
+            model, loads.values[:, cols], apply_z, opts, src
         )
         if v is None:
             # chunk 0, before any helper starts.  Allocated once its scratch

@@ -33,12 +33,12 @@ of the grammar ``-?D*(.D*)?([eE][+-]?D+)?`` ended by a newline.  From the
 first block it rejects (CRLF or blank lines, spaces, a leading '+', nan or
 inf, '_', a non-ASCII byte, a wrong field count, no final newline) on, each
 block goes to ``np.loadtxt`` on its own, split into lines as text mode
-splits them and decoded as UTF-8.  Once the first block is read, the lines
-after it are counted and the table is allocated once.  Lone CR line ends,
-which that count misses, grow it by the rows per line read so far, with no
-second count.  A fault is looked for only in the block that loadtxt
-rejects.  Both parsers give each cell's correctly rounded double, so they
-agree bit for bit.
+splits them and decoded as UTF-8.  Blocks are cut at '\\n', '\\r\\n' and
+lone '\\r' line ends alike, so a table with any of them is read in blocks of
+the same size.  The lines are counted first: a row is a line of its own, so
+the count bounds the rows and the table is allocated once.  A fault is
+looked for only in the block that loadtxt rejects.  Both parsers give each
+cell's correctly rounded double, so they agree bit for bit.
 
 Run metadata is JSON.
 """
@@ -239,29 +239,51 @@ def write_loads(path, loads: LoadMatrix) -> None:
 _TEXT_CHUNK = 1 << 18  # 256 KiB of table text per parsed block
 
 
-def _lines(path, raws, lineno: int):
-    """Number and text of each line in the binary lines ``raws``, the first
-    of them line ``lineno``, split as text mode splits them: at '\\n',
-    '\\r\\n' or a lone '\\r'.  A line that is not UTF-8 raises a
+def _lines(path, block: bytes, lineno: int):
+    """Number and text of each line of the binary ``block``, the first of
+    them line ``lineno``, split as text mode splits them: at '\\n', '\\r\\n'
+    or a lone '\\r'.  A line that is not UTF-8 raises a
     :class:`FileFormatError` that names it."""
-    for raw in raws:
-        for line in raw.splitlines(keepends=True):
-            try:
-                text = line.decode()
-            except UnicodeDecodeError as exc:
-                raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
-            yield lineno, text
-            lineno += 1
+    for line in block.splitlines(keepends=True):
+        try:
+            text = line.decode()
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: line {lineno}: {exc}") from exc
+        yield lineno, text
+        lineno += 1
+
+
+def _blocks(fh):
+    """Whole lines from the position of ``fh`` on, in blocks of at most
+    ``_TEXT_CHUNK`` bytes unless a line is longer; each is cut after a
+    '\\n' or lone '\\r' line end, never inside a CRLF, and ``fh`` is left
+    at its end."""
+    while block := fh.read(_TEXT_CHUNK):
+        while True:
+            # the last line end, but not a last '\r': it may start a CRLF
+            nl = block.rfind(b"\n")
+            cut = 1 + max(nl, block.rfind(b"\r", nl + 1, len(block) - 1))
+            if cut or not (more := fh.read(_TEXT_CHUNK)):
+                break
+            block += more
+        if 0 < cut < len(block):
+            fh.seek(cut - len(block), 1)
+            block = block[:cut]
+        yield block
 
 
 def _count_newlines(fh) -> int:
-    """The '\\n' bytes from the position of ``fh`` on, which it keeps."""
+    """The '\\n', '\\r\\n' and lone '\\r' line ends from the position of
+    ``fh`` on, which it keeps."""
     here = fh.tell()
-    # numpy counts a byte about three times as fast as bytes.count
-    rows = sum(np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-               for block in iter(lambda: fh.read(_TEXT_CHUNK), b""))
+    ends = 0
+    for block in _blocks(fh):
+        # numpy counts a byte about three times as fast as bytes.count
+        ends += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+        if b"\r" in block:
+            ends += block.count(b"\r") - block.count(b"\r\n")
     fh.seek(here)
-    return rows
+    return int(ends)
 
 
 def _loadtxt(lines) -> np.ndarray:
@@ -284,17 +306,17 @@ def _reads(text: str, width: int) -> bool:
         return False
 
 
-def _read_block(path, names: list[str], raws, lineno: int,
+def _read_block(path, names: list[str], block: bytes, lineno: int,
                 at: list[int]) -> np.ndarray:
-    """The rows ``np.loadtxt`` reads from the binary lines ``raws``, the
-    first of them line ``lineno``; each row's line is appended to ``at``.
+    """The rows ``np.loadtxt`` reads from the lines of the binary ``block``,
+    the first of them line ``lineno``; each row's line is appended to ``at``.
 
     A rejected block is walked line by line: each line is read whole, and
     the first that fails field by field, to name it.  The walk is lazy, so
     a line that is not UTF-8 raises only once every line before it is read.
     """
     def rows():
-        for n, line in _lines(path, raws, lineno):
+        for n, line in _lines(path, block, lineno):
             if not line.isspace():
                 at.append(n)
                 yield line
@@ -308,7 +330,7 @@ def _read_block(path, names: list[str], raws, lineno: int,
             return part
         # loadtxt takes the field count from the first row
         reason = f"{part.shape[1]} fields per row"
-    for n, line in _lines(path, raws, lineno):
+    for n, line in _lines(path, block, lineno):
         if line.isspace() or _reads(line, len(names)):
             continue
         fields = line.split(",")
@@ -332,7 +354,7 @@ def read_loads(path) -> LoadMatrix:
     if not path.exists():
         raise FileFormatError(f"{path}: no such file")
     with open(path, "rb") as fh:
-        _, first = next(_lines(path, fh, 1), (1, ""))
+        _, first = next(_lines(path, next(_blocks(fh), b""), 1), (1, ""))
         header = first.strip()
         if not header:
             raise FileFormatError(f"{path}: empty file")
@@ -348,35 +370,21 @@ def read_loads(path) -> LoadMatrix:
                 f"p_1,q_1,...,p_{b},q_{b} layout"
             )
         fh.seek(len(first.encode()))
-        table = np.empty((0, 2 * b))
+        # a row is a line of its own, so the lines after the header, and one
+        # more should the last have no line end, bound the rows
+        table = np.empty((_count_newlines(fh) + 1, 2 * b))
         rows = 0
         bulk = None  # the rows parsed in bulk, once a block is rejected
         at: list[int] = []  # the line of each row after those
-        seen = 0  # the '\n' lines read, as binary readlines splits them
-        lines = None  # all '\n' lines after the header, once counted
-        for raws in iter(lambda: fh.readlines(_TEXT_CHUNK), []):
-            seen += len(raws)
-            part = parse_rows(b"".join(raws), 2 * b) if bulk is None else None
+        for raw in _blocks(fh):
+            part = parse_rows(raw, 2 * b) if bulk is None else None
             if part is None:
                 if bulk is None:
                     bulk, lineno = rows, 2 + rows
-                part = _read_block(path, names, raws, lineno, at)
-                lineno += sum(len(raw.splitlines()) for raw in raws)
-            end = rows + len(part)
-            if end > len(table):
-                # the first block; or lone '\r' line ends, or no final
-                # newline, which a count of the '\n' misses.  The rest is
-                # taken to hold as many rows per '\n' line as the lines
-                # read, and at least one: an LF table is sized once, exactly
-                if lines is None:
-                    lines = seen + _count_newlines(fh)
-                left = max(0, lines - seen)
-                more = -(-left * max(end, seen) // seen)  # rounded up
-                grown = np.empty((end + more, 2 * b))
-                grown[:rows] = table[:rows]
-                table = grown
-            table[rows:end] = part
-            rows = end
+                part = _read_block(path, names, raw, lineno, at)
+                lineno += len(raw.splitlines())
+            table[rows:rows + len(part)] = part
+            rows += len(part)
         if rows == 0:
             raise FileFormatError(f"{path}: no load cases")
         table = table[:rows]

@@ -2,25 +2,26 @@
 
 The demand-node balance is rearranged into the iteration
 
-    v_(n+1) = F (v_(n)*)^(-1) + w
+    v_(n+1) = B^(-1) (a / v_(n)* + c)
 
-with constant matrices built once per operating point:
+with constant terms built once per operating point:
 
-    A = diag(alpha_p . s*)
+    a = -alpha_p . s*
     B = diag(alpha_z . s*) + Y_dd
-    c = Y_ds v_s + alpha_i . s*
-    F = -B^(-1) A,   w = -B^(-1) c
+    c = -(Y_ds v_s + alpha_i . s*)
 
-where ``.`` is elementwise product and ``(.)^(-1)`` the elementwise
-reciprocal.  F and w are applied through a single LU factorization of B.
+where ``.`` is elementwise product and ``/`` elementwise division.  This is
+the paper's ``v_(n+1) = F (v_(n)*)^(-1) + w`` with ``F = -B^(-1) A``,
+``A = diag(alpha_p . s*)`` and ``w = -B^(-1)(Y_ds v_s + alpha_i . s*)``,
+written as one application of ``B^(-1)`` per step: ``F`` and ``w`` are
+never formed.  ``B^(-1)`` is applied through a single LU factorization of B.
 
 Every fixed-point path in the package (this solver, the dense and sparse
 batches and the two-bus basin scan) runs the same update through
 :func:`fixed_point`; they differ only in how they apply ``B^(-1)``.  The
 single-case solver and the batch driver share one chunk solve,
-:func:`solve_chunk`, which builds ``a`` and ``w``, iterates and decides
-which cases converged; the terms shared by every case of a batch come from
-:func:`shared_terms`, once per batch.
+:func:`solve_chunk`, which builds ``a`` and ``c``, iterates and decides
+which cases converged.
 """
 
 from __future__ import annotations
@@ -159,30 +160,25 @@ def _factorize_b(model: NetworkModel, s: np.ndarray):
     return factorize(B)
 
 
-def start_voltage(
-    model: NetworkModel, opts: SolveOptions, tau: int = 1
-) -> np.ndarray:
-    """First iterate, b x tau in Fortran order; every solver starts here.
+def start_voltage(model: NetworkModel, opts: SolveOptions) -> np.ndarray:
+    """First iterate, b x 1, shared by every case; every solver starts here.
 
-    Every column is ``opts.initial_voltage`` when given, else the flat start
-    |v_s|.  A start of the wrong length raises :class:`ValueError`.
+    It is ``opts.initial_voltage`` when given, else the flat start |v_s|.
+    A start of the wrong length raises :class:`ValueError`.
     """
     if opts.initial_voltage is None:
-        v0 = np.full(model.n_demand, abs(model.slack.v_s) * (1.0 + 0.0j))
-    else:
-        v0 = np.asarray(opts.initial_voltage, dtype=complex).ravel()
-        if v0.shape[0] != model.n_demand:
-            raise ValueError("initial voltage length mismatch")
-    v = np.empty((model.n_demand, tau), dtype=complex, order="F")
-    v[:] = v0[:, None]
-    return v
+        return np.full((model.n_demand, 1), abs(model.slack.v_s) * (1.0 + 0.0j))
+    v0 = np.asarray(opts.initial_voltage, dtype=complex).ravel()
+    if v0.shape[0] != model.n_demand:
+        raise ValueError("initial voltage length mismatch")
+    return v0[:, None]
 
 
 @dataclass
 class FixedPointRun:
     """Outcome of :func:`fixed_point`, per column and per iteration."""
 
-    v: np.ndarray  # final iterate, b x tau: the caller's start, overwritten
+    v: np.ndarray  # final iterate, b x tau, Fortran order
     iterations: int
     # iteration at which the column's max step first fell under the
     # tolerance; 0 if it never did
@@ -195,17 +191,17 @@ class FixedPointRun:
 
 
 def fixed_point(
-    apply_z, a: np.ndarray, w: np.ndarray, v: np.ndarray,
+    apply_z, a: np.ndarray, c: np.ndarray, start: np.ndarray,
     tolerance: float, max_iterations: int,
 ) -> FixedPointRun:
-    """Iterate ``v <- apply_z(a / v*) + w`` over the columns of ``v``.
+    """Iterate ``v <- apply_z(a / v* + c)`` over tau columns.
 
-    ``v`` is the b x tau start; it is overwritten with the final iterates
-    and returned as the run's ``v``.  ``a`` and ``w`` broadcast against it:
-    each is b x tau (one column per case) or b x 1 (shared).  ``apply_z``
-    applies the linear map (a dense ``Z_B``, an LU solve, a scalar) to a
-    b x m array of the m columns still iterating; it may return its
-    argument, which is not read again.  Iterate entries under
+    Each of ``a``, ``c`` and ``start`` is b x tau (one column per case) or
+    b x 1 (shared by every column); tau is the widest of the three.  None of
+    them is written to: the run returns its own b x tau final iterate.
+    ``apply_z`` applies the linear map (a dense ``Z_B``, an LU solve, a
+    scalar) to a b x m array of the m columns still iterating; it may
+    return its argument, which is not read again.  Iterate entries under
     ``ZERO_VOLTAGE_GUARD`` in magnitude are raised to it before the update.
 
     Stop rule: a column is recorded at the first iteration its max |dv|
@@ -216,11 +212,13 @@ def fixed_point(
     ``apply_z`` only sees the columns still pending.  The run stops when no
     column is pending, or after ``max_iterations``.
     """
-    tau = v.shape[1]
+    b, tau = np.broadcast_shapes(a.shape, c.shape, start.shape)
     # int + bool broadcasts the A = 0 shortcut over the tau columns
     first = np.zeros(tau, dtype=int) + ~np.any(a, axis=0)
     pending = first == 0
-    out, v = v, v.copy(order="F")
+    out = np.empty((b, tau), dtype=complex, order="F")
+    v = np.empty_like(out)
+    v[:] = start
     live = np.arange(tau)  # the column of ``out`` each working column fills
     u = np.empty_like(v)
     step_inf: list[float] = []
@@ -228,14 +226,18 @@ def fixed_point(
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         while n < max_iterations:
             n += 1
-            small = np.abs(v) < ZERO_VOLTAGE_GUARD
-            if small.any():
-                np.copyto(v, ZERO_VOLTAGE_GUARD * (1.0 + 0.0j), where=small)
-                guarded_at = n
+            # |v| < guard needs |Re v| < guard, so the cheaper real pass
+            # decides whether |v| is computed at all; written as ``not >=``
+            # so that a NaN entry sends the iterate to the full check too
+            if not np.abs(v.real).min() >= ZERO_VOLTAGE_GUARD:
+                small = np.abs(v) < ZERO_VOLTAGE_GUARD
+                if small.any():
+                    np.copyto(v, ZERO_VOLTAGE_GUARD * (1.0 + 0.0j), where=small)
+                    guarded_at = n
             np.conjugate(v, out=u)
             np.divide(a, u, out=u)
+            u += c
             v_next = apply_z(u)
-            v_next += w
             # the old iterate's storage takes the step, then the next scratch
             np.subtract(v_next, v, out=v)
             col = np.abs(v).max(axis=0)
@@ -253,8 +255,8 @@ def fixed_point(
                 break
             if a.shape[1] == pending.size:
                 a = a[:, pending]
-            if w.shape[1] == pending.size:
-                w = w[:, pending]
+            if c.shape[1] == pending.size:
+                c = c[:, pending]
             v = v[:, pending]
             u = np.empty_like(v)
             pending = np.ones(live.size, dtype=bool)
@@ -269,47 +271,29 @@ def fixed_point(
     )
 
 
-def shared_terms(
-    model: NetworkModel, apply_z
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The terms of :func:`solve_chunk` that every chunk of a batch shares.
-
-    Returns the b x 1 source injection ``Y_ds v_s`` and, with no
-    constant-current share, the no-load voltage ``w = B^(-1)(-Y_ds v_s)``,
-    one b x 1 column that every case shares.  With a constant-current
-    share ``w`` has a column per case and is left to :func:`solve_chunk`
-    (``None``).
-    A batch computes both once, on the calling thread, not once per chunk:
-    on the sparse path ``w`` would add one LU solve to each chunk's one per
-    iteration.
-    """
-    src = model.source_injection()[:, None]
-    return src, (None if model.zip.alpha_i.any() else apply_z(-src))
-
-
 def solve_chunk(
     model: NetworkModel, s: np.ndarray, apply_z, opts: SolveOptions,
-    src: np.ndarray, w: np.ndarray | None,
+    src: np.ndarray,
 ) -> tuple[FixedPointRun, np.ndarray, np.ndarray]:
     """Solve the b x m loads ``s`` with ``apply_z`` applying ``B^(-1)``.
 
     Runs :func:`fixed_point` from :func:`start_voltage` with
-    ``a = -alpha_p . s*`` and ``w = B^(-1)(-(Y_ds v_s + alpha_i . s*))``.
-    ``src`` and ``w`` are :func:`shared_terms` of ``model`` and
-    ``apply_z``: a ``w`` of ``None`` is built here, one column per case.
-    ``apply_z`` must account for any constant-impedance share in ``B``.
-    Returns the run, the power residual of each case and the converged
-    mask: a case is converged when its step met ``opts.tolerance`` and its
-    residual is under ``opts.residual_tolerance``.
+    ``a = -alpha_p . s*`` and ``c = -(Y_ds v_s + alpha_i . s*)``: one b x 1
+    column that every case shares when there is no constant-current share,
+    else one column per case.  ``src`` is the b x 1 source injection
+    ``Y_ds v_s`` of ``model``, which a batch computes once for all its
+    chunks.  ``apply_z`` must account for any constant-impedance share in
+    ``B``.  Returns the run, the power residual of each case and the
+    converged mask: a case is converged when its step met ``opts.tolerance``
+    and its residual is under ``opts.residual_tolerance``.
     """
     zc = model.zip
     # s* in Fortran order, then scaled in place to a = -alpha_p . s*
     a = np.conjugate(s, out=np.empty(s.shape, dtype=complex, order="F"))
-    if w is None:
-        w = apply_z(-(src + zc.alpha_i[:, None] * a))
+    c = -(src + zc.alpha_i[:, None] * a) if zc.alpha_i.any() else -src
     a *= -zc.alpha_p[:, None]
     run = fixed_point(
-        apply_z, a, w, start_voltage(model, opts, s.shape[1]),
+        apply_z, a, c, start_voltage(model, opts),
         opts.tolerance, opts.max_iterations,
     )
     with np.errstate(invalid="ignore", over="ignore"):
@@ -330,7 +314,7 @@ def fpi_solve(
     s = np.asarray(s, dtype=complex).ravel()
     apply_z = _factorize_b(model, s).solve
     run, residuals, converged = solve_chunk(
-        model, s[:, None], apply_z, opts, *shared_terms(model, apply_z)
+        model, s[:, None], apply_z, opts, model.source_injection()[:, None]
     )
     diagnostic = None
     if run.non_finite[0]:
@@ -375,7 +359,7 @@ def residual_per_case(
     """Max nodal power-balance error; columns are cases for 2-D input.
 
     ``src`` is ``model``'s source injection shaped to broadcast against
-    ``v``, as :func:`shared_terms` gives it; computed here when not given.
+    ``v``, as :func:`solve_chunk` takes it; computed here when not given.
     """
     v = np.asarray(v, dtype=complex)
     s = np.asarray(s, dtype=complex)

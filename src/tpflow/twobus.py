@@ -357,11 +357,12 @@ def _fpi_grid(
     sys: TwoBusSystem, v_start: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scalar fixed-point map v <- v0 - z_s s* / v* from every start at once:
-    one 1 x N :func:`tpflow.fpi.fixed_point` run, one start per column."""
-    f = np.array([[-sys.z_s * np.conj(sys.s_l)]])
+    one :func:`tpflow.fpi.fixed_point` run of the identity map with shared
+    ``a = -z_s s*`` and ``c = v0``, from a 1 x N start, one per column."""
     run = fixed_point(
-        lambda u: u, f, np.array([[complex(sys.v0)]]),
-        v_start.astype(complex).reshape(1, -1), tol, max_iter,
+        lambda u: u, np.array([[-sys.z_s * np.conj(sys.s_l)]]),
+        np.array([[complex(sys.v0)]]),
+        np.asarray(v_start, dtype=complex).reshape(1, -1), tol, max_iter,
     )
     iters = run.first_converged.reshape(v_start.shape)
     return run.v.reshape(v_start.shape), iters, iters > 0

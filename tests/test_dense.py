@@ -8,7 +8,9 @@ from scipy.sparse.linalg import spsolve
 
 from tpflow import dense
 from tpflow.dense import LoadMatrix, VoltageBatch, batch_solve_dense
-from tpflow.fpi import SolveOptions, factorization_count, factorize, fpi_solve
+from tpflow.fpi import (
+    SolveOptions, factorization_count, factorize, fixed_point, fpi_solve,
+)
 from tpflow.network import Branch, NetworkModel, ZipCoefficients
 from tpflow.newton import nr_solve
 from tpflow.sparse import batch_solve_sparse
@@ -257,7 +259,7 @@ class TestChunks:
 
     @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
     def test_stalled_column_with_per_case_w(self, nine_bus_model, solver):
-        # a constant-current share gives every column its own w, which the
+        # a constant-current share gives every column its own c, which the
         # kernel gathers as the other columns leave around the stalled one
         model = with_zip(nine_bus_model, 0.0, 0.3, 0.7)
         loads = self._batch_with_stalled_column(nine_bus_model)
@@ -370,6 +372,117 @@ class TestChunks:
                 # the last bits in about half the draws
                 assert np.abs(others - ref.values).max() < 1e-12
 
+    @settings(max_examples=20)
+    @given(
+        topology=TOPOLOGIES,
+        n_buses=st.integers(10, 50),
+        seed=st.integers(0, 2**16),
+        alpha_i=st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True),
+        tau=st.integers(2, 40),
+        data=st.data(),
+    )
+    def test_dense_batch_does_not_depend_on_chunk_width(self, topology, n_buses,
+                                                        seed, alpha_i, tau,
+                                                        data):
+        # alpha_i = 0 gives the chunks one shared c, any other share a c
+        # column per case that each chunk slices from its own loads
+        feeder, spec = drawn_feeder(topology, n_buses, seed)
+        model = with_zip(feeder, 0.0, alpha_i, 1.0 - alpha_i)
+        loads = LoadMatrix(gen_scenarios(model, tau, spec).values)
+        width = data.draw(st.integers(1, tau - 1), label="chunk columns")
+        workers = data.draw(st.integers(1, 3), label="chunk workers")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dense, "_CHUNK_BYTES", 16 * model.n_demand * width)
+            mp.setattr(dense, "_chunk_workers", lambda chunks: workers)
+            out = batch_solve_dense(model, loads)
+        ref = batch_solve_dense(model, loads)
+        assert np.array_equal(out.converged_mask, ref.converged_mask)
+        assert out.iterations == ref.iterations
+        assert np.abs(out.values - ref.values).max() < 1e-12
+
+    @settings(max_examples=20)
+    @given(
+        # not phase-coupled: its strong source keeps a x100 column solvable
+        topology=st.sampled_from(["radial", "meshed"]),
+        n_buses=st.integers(10, 50),
+        seed=st.integers(0, 2**16),
+        tau=st.integers(2, 40),
+        data=st.data(),
+    )
+    def test_wild_column_leaves_the_others_bit_identical(self, topology,
+                                                         n_buses, seed, tau,
+                                                         data):
+        # a column scaled by 1e300 swings between iterates near 1e298 and
+        # near 1; its neighbours must not see any of it.  It runs to the
+        # cap, as a x100 column does, so the dense chunks keep the same
+        # widths at every step with either, and the GEMM the same blocking.
+        # No constant-current share: c would then hold the 1e300 load too,
+        # which can pin the iterate and let the column leave early
+        model, spec = drawn_feeder(topology, n_buses, seed)
+        loads = gen_scenarios(model, tau, spec).values
+        wild = data.draw(st.integers(0, tau - 1), label="wild column")
+        width = data.draw(st.integers(1, tau), label="chunk columns")
+        batches = []
+        for scale in (1e300, 100.0):
+            scaled = loads.copy()
+            scaled[:, wild] *= scale
+            batches.append(LoadMatrix(scaled))
+        rest = LoadMatrix(np.delete(loads, wild, axis=1))
+        for solver in (batch_solve_dense, batch_solve_sparse):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dense, "_CHUNK_BYTES", 16 * model.n_demand * width)
+                out, ref = (solver(model, batch) for batch in batches)
+                alone = solver(model, rest)
+            assert not out.converged_mask[wild] and not ref.converged_mask[wild]
+            others = np.delete(out.values, wild, axis=1)
+            twins = [np.delete(ref.values, wild, axis=1)]
+            if solver is batch_solve_sparse:
+                # each column is its own LU solve; on the dense path one
+                # column fewer would move the GEMM's blocking
+                twins.append(alone.values)
+            for twin in twins:
+                assert np.array_equal(others.view(np.uint64),
+                                      twin.view(np.uint64))
+            assert np.array_equal(np.delete(out.converged_mask, wild),
+                                  alone.converged_mask)
+
+    @settings(max_examples=20)
+    @given(
+        topology=TOPOLOGIES,
+        n_buses=st.integers(10, 50),
+        seed=st.integers(0, 2**16),
+        tau=st.integers(2, 40),
+        data=st.data(),
+    )
+    def test_non_finite_column_leaves_the_others_bit_identical(
+            self, topology, n_buses, seed, tau, data):
+        # a NaN start sends one column non-finite at the first step, and a
+        # zero load records its column at the first step: either leaves the
+        # kernel after one step, so the other columns see the same widths
+        model, spec = drawn_feeder(topology, n_buses, seed)
+        s = gen_scenarios(model, tau, spec).values
+        bad = data.draw(st.integers(0, tau - 1), label="non-finite column")
+        a = -np.conj(s)
+        c = -model.source_injection()[:, None]
+        flat = np.full((model.n_demand, 1), abs(model.slack.v_s), dtype=complex)
+        start = np.repeat(flat, tau, axis=1)
+        start[:, bad] = np.nan
+        quiet = a.copy()
+        quiet[:, bad] = 0.0
+        opts = SolveOptions()
+        for make_z in (dense._dense_z, lambda y_dd: factorize(y_dd).solve):
+            apply_z = make_z(model.y_dd)
+            run = fixed_point(apply_z, a, c, start, opts.tolerance,
+                              opts.max_iterations)
+            ref = fixed_point(apply_z, quiet, c, flat, opts.tolerance,
+                              opts.max_iterations)
+            assert np.flatnonzero(run.non_finite).tolist() == [bad]
+            assert ref.first_converged[bad] == 1
+            others, twin = (np.delete(r.v, bad, axis=1) for r in (run, ref))
+            assert others.tobytes() == twin.tobytes()
+            assert np.array_equal(np.delete(run.first_converged, bad),
+                                  np.delete(ref.first_converged, bad))
+
     @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
     def test_failing_chunk_raises_after_helpers_end(self, nine_bus_model,
                                                     monkeypatch, solver):
@@ -396,16 +509,15 @@ class TestChunks:
         assert err.value is failure
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("alpha_i, no_load_solves", [(0.0, 1), (0.3, 0)])
+    @pytest.mark.parametrize("alpha_i", [0.0, 0.3])
     @pytest.mark.parametrize("make_z", [dense._dense_z,
                                         lambda y_dd: factorize(y_dd).solve],
                              ids=["dense", "sparse"])
-    def test_no_load_voltage_solved_once_per_batch(self, nine_bus_model,
-                                                   monkeypatch, make_z,
-                                                   alpha_i, no_load_solves):
-        # every column runs to the cap, so each iteration maps a whole chunk
-        # of 7 (or, last, 5) columns and only the shared w is a b x 1 solve;
-        # a constant-current share gives w a column per case, per chunk
+    def test_one_map_per_chunk_iteration(self, nine_bus_model, monkeypatch,
+                                         make_z, alpha_i):
+        # every column runs to the cap, so each iteration maps one whole
+        # chunk of 7 (or, last, 5) columns, and nothing else is mapped: the
+        # no-load term rides in the right-hand side, shared or per case
         model = with_zip(nine_bus_model, 0.0, alpha_i, 1.0 - alpha_i)
         loads = feasible_batch(nine_bus_model, 40, seed=31)
         opts = SolveOptions(tolerance=1e-16, max_iterations=3,
@@ -424,10 +536,9 @@ class TestChunks:
 
         out = dense.solve_columns(model, loads, opts, counted)
         assert out.iterations == 3 and out.chunk_workers == 2
-        assert widths.count(1) == no_load_solves
         chunks = 6
-        per_case_w = chunks if alpha_i else 0
-        assert len(widths) == no_load_solves + per_case_w + 3 * chunks
+        assert len(widths) == 3 * chunks
+        assert sorted(widths) == [5] * 3 + [7] * 3 * (chunks - 1)
 
     @pytest.mark.parametrize("solver", [batch_solve_dense, batch_solve_sparse])
     def test_scratch_memory_does_not_grow_with_tau(self, nine_bus_model, solver):

@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -389,8 +390,8 @@ class TestLoadText:
         assert np.array_equal(values, [[0.1 - 0.25j, 0.3 + 0.4j]])
 
     def test_lone_cr_lines_counted_across_blocks(self, tmp_path, monkeypatch):
-        # each '\n' line holds two rows split by a lone '\r', more rows than
-        # the newline count that sized the table
+        # each '\n' line holds two rows split by a lone '\r'; the count that
+        # sizes the table counts both line ends
         monkeypatch.setattr(fileio, "_TEXT_CHUNK", 16)
         text = b"p_1,q_1\n" + b"+1,2\r3,4\n" * 20
         values = self._read(tmp_path, text)
@@ -402,8 +403,7 @@ class TestLoadText:
 
     def test_mixed_line_ends_read_as_lf_in_one_count(self, tmp_path, monkeypatch):
         # lone '\r' and '\n' line ends drawn at random over about 60 blocks:
-        # the rows per '\n' line read so far size the table, so the rest is
-        # counted once, not at every block the estimate falls short
+        # one count of both kinds of line end sizes the table
         rng = np.random.default_rng(3)
         rows = [f"{p:.17g},{q:.17g}" for p, q in rng.normal(size=(600, 2))]
         ends = rng.choice(["\r", "\n"], size=len(rows))
@@ -418,6 +418,28 @@ class TestLoadText:
         assert len(counts) == 1
         assert np.array_equal(values.view(np.uint64),
                               self._read(tmp_path, lf.encode()).view(np.uint64))
+
+    def test_lone_cr_table_read_in_blocks(self, tmp_path, model, monkeypatch):
+        # a lone-CR table is cut into blocks as an LF one is, not held whole
+        # as one line
+        monkeypatch.setattr(fileio, "_TEXT_CHUNK", 1 << 14)
+        loads = gen_scenarios(model, 4000, GenSpec(n_buses=9, seed=5))
+        lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
+        write_loads(lf, loads)
+        cr.write_bytes(lf.read_bytes().replace(b"\n", b"\r"))
+        want = np.ascontiguousarray(loads.values.T).view(np.uint64)
+        for path in (lf, cr):
+            tracemalloc.start()
+            try:
+                values = read_loads(path).values
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(
+                np.ascontiguousarray(values.T).view(np.uint64), want)
+            # the table, allocated once, and a block's scratch; the text
+            # alone is 2.6 times the table
+            assert peak < 2 * values.nbytes, (path.name, peak / values.nbytes)
 
     def test_conversion_fault_before_non_finite(self, tmp_path):
         with pytest.raises(FileFormatError) as err:
@@ -455,8 +477,8 @@ class TestLoadText:
     @pytest.mark.parametrize("end", [b"\n", b"\r\n"])
     def test_newlines_counted_after_first_block(self, tmp_path, model,
                                                 monkeypatch, end):
-        # the table is sized once from the first block, whichever parser
-        # read it
+        # the table is sized once, by one count of the lines, whichever
+        # parser reads the blocks
         path = tmp_path / "loads.csv"
         loads = gen_scenarios(model, 40, GenSpec(n_buses=9, seed=5))
         write_loads(path, loads)

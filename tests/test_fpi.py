@@ -25,8 +25,8 @@ V_LOW = (1 - np.sqrt(0.96)) / 2
 
 class TestAssemble:
     def test_two_bus_f_and_w(self):
-        # hand algebra: B = 1/z_s, c = -v0/z_s, so F = [-z_s s*], w = [v0];
-        # one step from the flat start v0 = 1 lands at F / v0* + w
+        # hand algebra: B = 1/z_s, Y_ds v_s = -v0/z_s, so F = [-z_s s*] and
+        # w = [v0]; one step from the flat start v0 = 1 lands at F / v0* + w
         model = two_bus_model(0.1 + 0j)
         one_step = SolveOptions(max_iterations=1)
         w = fpi_solve(model, [0j], one_step).v[0]
@@ -142,23 +142,27 @@ class TestSolve:
 
 class TestFixedPoint:
     def test_columns_recorded_and_nan_column_does_not_hold_run_open(self):
-        # two-bus map v <- v0 - z_s s* / v*: Z_B = z_s, a = -s*, w = v0
+        # two-bus map v <- z_s (a / v* + c) = v0 - z_s s* / v*, with
+        # Z_B = z_s, a = -s* and c = v0 / z_s, both shared by the three starts
         z_s, s, tol = 0.1, 0.1 + 0j, 1e-10
         expected, v = 0, 1.0 + 0j
         while True:
             expected += 1
-            v_next = 1.0 - z_s * np.conj(s) / np.conj(v)
+            v_next = z_s * (-np.conj(s) / np.conj(v) + 1.0 / z_s)
             if abs(v_next - v) < tol:
                 break
             v = v_next
         starts = np.array([[V_HIGH, 1.0, np.nan]], dtype=complex)
         run = fixed_point(lambda u: z_s * u, np.array([[-np.conj(s)]]),
-                          np.array([[1.0 + 0j]]), starts, tol, 100)
+                          np.array([[1.0 / z_s + 0j]]), starts, tol, 100)
         assert expected > 1
         assert list(run.first_converged) == [1, expected, 0]
         assert list(run.non_finite) == [False, False, True]
         assert run.iterations == expected < 100
         assert abs(run.v[0, 1] - V_HIGH) < 1e-12
+        assert run.v[0, 1] == v_next
+        # the run returns its own array and leaves the start as it was
+        assert np.isnan(starts[0, 2]) and starts[0, 1] == 1.0
 
     def test_recorded_columns_leave_the_working_arrays(self):
         # two-bus map with a per-column a: a start at the high root (recorded
@@ -166,6 +170,7 @@ class TestFixedPoint:
         # which has no root, so its column runs to the cap
         z_s, tol, cap = 0.1, 1e-10, 100
         a = np.array([[-0.1, -0.1, -3.0]], dtype=complex)
+        c = np.array([[1.0 / z_s + 0j]])
         starts = np.array([[V_HIGH, 1.0, 1.0]], dtype=complex)
         widths = []
 
@@ -173,8 +178,7 @@ class TestFixedPoint:
             widths.append(u.shape[1])
             return z_s * u
 
-        w = np.array([[1.0 + 0j]])
-        run = fixed_point(apply_z, a, w, starts.copy(), tol, cap)
+        run = fixed_point(apply_z, a, c, starts, tol, cap)
         assert run.iterations == cap == len(widths)
         assert run.first_converged[0] == 1 < run.first_converged[1]
         assert run.first_converged[2] == 0 and not run.non_finite.any()
@@ -182,10 +186,30 @@ class TestFixedPoint:
         assert all(x >= y for x, y in zip(widths, widths[1:]))
         assert widths.index(1) == run.first_converged[1] < cap
         for j in (0, 1):
-            alone = fixed_point(lambda u: z_s * u, a[:, j:j + 1], w,
-                                starts[:, j:j + 1].copy(), tol, cap)
+            alone = fixed_point(lambda u: z_s * u, a[:, j:j + 1], c,
+                                starts[:, j:j + 1], tol, cap)
             assert alone.iterations == run.first_converged[j]
             assert np.array_equal(run.v[:, j], alone.v[:, 0])
+
+    def test_shared_inputs_broadcast_against_per_column_ones(self):
+        # each of a, c and the start may be the one per-column term: every
+        # column equals its own run with all three given per column
+        z_s, tol, cap = 0.1, 1e-10, 100
+        a = np.array([[-0.1, -0.2, -0.05]], dtype=complex)
+        c = np.array([[10.0, 9.0, 11.0]], dtype=complex)
+        starts = np.array([[1.0, 0.9, 1.1]], dtype=complex)
+        per_column = (a, c, starts)
+        for k in range(3):
+            terms = [t[:, :1] for t in per_column]
+            terms[k] = per_column[k]
+            run = fixed_point(lambda u: z_s * u, *terms, tol, cap)
+            assert run.v.shape == (1, 3)
+            for j in range(3):
+                alone = fixed_point(lambda u: z_s * u, *terms[:k],
+                                    terms[k][:, j:j + 1], *terms[k + 1:],
+                                    tol, cap)
+                assert alone.iterations == run.first_converged[j] > 0
+                assert run.v[0, j] == alone.v[0, 0]
 
 
 class TestResidual:
