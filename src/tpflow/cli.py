@@ -18,7 +18,7 @@ from . import fileio, twobus
 from .bench import BenchConfig, METHODS, fit_complexity, run_benchmark, solve_batch
 from .dense import usable_cores
 from .fileio import FileFormatError
-from .fpi import SolveOptions
+from .fpi import SingularSystemError, SolveOptions
 from .network import NetworkError
 from .synth import GenSpec, build_network, gen_scenarios
 
@@ -292,8 +292,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileFormatError, NetworkError, ValueError, MemoryError,
-            OSError) as exc:
+    except (FileFormatError, NetworkError, SingularSystemError, ValueError,
+            MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

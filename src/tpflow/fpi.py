@@ -26,7 +26,6 @@ which cases converged.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
     "SolveResult",
     "SingularSystemError",
     "factorize",
-    "factorization_count",
     "fpi_solve",
     "power_residual",
     "contraction_estimate",
@@ -52,15 +50,6 @@ ZERO_VOLTAGE_GUARD = 1e-12
 
 class SingularSystemError(RuntimeError):
     """Raised when the constant iteration matrix B cannot be factorized."""
-
-
-_factorizations = 0
-_counter_lock = threading.Lock()
-
-
-def factorization_count() -> int:
-    """Monotone count of :func:`factorize` calls that succeeded."""
-    return _factorizations
 
 
 def factorize(matrix):
@@ -94,7 +83,6 @@ def factorize(matrix):
     """
     from scipy.sparse.linalg import splu
 
-    global _factorizations
     m = matrix.tocsc().astype(complex, copy=False)
     if m.shape[0] != m.shape[1]:
         raise ValueError("factorize requires a square matrix")
@@ -112,8 +100,6 @@ def factorize(matrix):
         raise SingularSystemError(
             f"sparse factorization failed: {exc}{detail}"
         ) from exc
-    with _counter_lock:
-        _factorizations += 1
     return lu
 
 
@@ -149,11 +135,23 @@ class SolveResult:
     step_inf: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def _factorize_b(model: NetworkModel, s: np.ndarray):
-    """LU of ``B = diag(alpha_z . s*) + Y_dd`` for the b-vector ``s``."""
+def _load_vector(model: NetworkModel, s) -> np.ndarray:
+    """One case's loads as a complex b-vector, checked as
+    :class:`tpflow.dense.LoadMatrix` checks a batch: a wrong length or a
+    non-finite entry raises :class:`ValueError` naming the node."""
+    s = np.asarray(s, dtype=complex).ravel()
     b = model.n_demand
     if s.shape[0] != b:
         raise ValueError(f"load vector sized {s.shape[0]}, expected {b}")
+    finite = np.isfinite(s)
+    if not finite.all():
+        node = int(np.argmin(finite))
+        raise ValueError(f"non-finite load {s[node]} at node {node}")
+    return s
+
+
+def _factorize_b(model: NetworkModel, s: np.ndarray):
+    """LU of ``B = diag(alpha_z . s*) + Y_dd`` for the b-vector ``s``."""
     B = model.y_dd
     if model.zip.alpha_z.any():
         B = sparse.diags(model.zip.alpha_z * np.conj(s)) + B
@@ -311,7 +309,7 @@ def fpi_solve(
     LU of B.  Convergence is confirmed by a mandatory power-residual
     post-check; non-convergence is reported in the result, not raised.
     """
-    s = np.asarray(s, dtype=complex).ravel()
+    s = _load_vector(model, s)
     apply_z = _factorize_b(model, s).solve
     run, residuals, converged = solve_chunk(
         model, s[:, None], apply_z, opts, model.source_injection()[:, None]
@@ -389,7 +387,7 @@ def contraction_estimate(
 
     k < 1 certifies the iteration is a contraction at the solution.
     """
-    s = np.asarray(s, dtype=complex).ravel()
+    s = _load_vector(model, s)
     lu = _factorize_b(model, s)
     v = np.asarray(v, dtype=complex).ravel()
     if np.any(np.abs(v) == 0):

@@ -11,7 +11,10 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from .fpi import SolveOptions, SolveResult, power_residual, start_voltage, zip_power
+from .fpi import (
+    SolveOptions, SolveResult, _load_vector, power_residual, start_voltage,
+    zip_power,
+)
 from .network import NetworkModel
 
 __all__ = ["nr_solve"]
@@ -60,10 +63,8 @@ def nr_solve(
     # imported here, so that only a run using Newton loads scipy's LU stack
     from scipy.sparse.linalg import splu
 
-    s = np.asarray(s, dtype=complex).ravel()
+    s = _load_vector(model, s)
     b = model.n_demand
-    if s.shape[0] != b:
-        raise ValueError(f"load vector sized {s.shape[0]}, expected {b}")
     y_dd = model.y_dd
     y = y_dd.tocoo()  # each real Jacobian block: Y_dd's pattern plus its diagonal
     r, c = (np.concatenate([k, np.arange(b, dtype=k.dtype)]) for k in (y.row, y.col))

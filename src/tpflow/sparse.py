@@ -12,23 +12,15 @@ paper's ``V <- F (V*)^(-1) + W``, ``F = -Y_dd^(-1) diag(alpha_p . s*)`` and
 ``W = Y_dd^(-1) C``, as one solve per step: the no-load voltage ``W`` is
 never solved for on its own.  A zero-load entry contributes an exact zero
 to ``A / V*``, so such nodes need no special handling.
-
-The factorization is :func:`tpflow.fpi.factorize`, re-exported here with
-its counter :func:`factorization_count`, so reuse (exactly one
-factorization per batch) can be asserted.
 """
 
 from __future__ import annotations
 
 from .dense import LoadMatrix, VoltageBatch, solve_columns
-from .fpi import SolveOptions, factorization_count, factorize
+from .fpi import SolveOptions, factorize
 from .network import NetworkModel
 
-__all__ = [
-    "factorize",
-    "batch_solve_sparse",
-    "factorization_count",
-]
+__all__ = ["batch_solve_sparse"]
 
 
 def batch_solve_sparse(

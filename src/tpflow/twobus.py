@@ -12,6 +12,7 @@ Newton-Raphson iterations over the complex voltage plane.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -47,6 +48,16 @@ CLASS_NAMES = ("high", "low", "diverged")
 _MATCH_TOLERANCE = 1e-6
 
 
+def _check_source(z_s: complex, v0: float) -> None:
+    """Reject a zero or non-finite source impedance, and a source voltage
+    magnitude that is not positive and finite."""
+    # written as ``not x > 0`` so that NaN is rejected too
+    if not (cmath.isfinite(z_s) and abs(z_s) > 0):
+        raise ValueError("source impedance must be finite and nonzero")
+    if not 0 < v0 < math.inf:
+        raise ValueError("source voltage magnitude must be positive and finite")
+
+
 @dataclass(frozen=True)
 class TwoBusSystem:
     """Source impedance, source voltage magnitude and load power, all p.u."""
@@ -56,10 +67,9 @@ class TwoBusSystem:
     s_l: complex = 0.0j
 
     def __post_init__(self) -> None:
-        if abs(self.z_s) == 0:
-            raise ValueError("source impedance must be nonzero")
-        if self.v0 <= 0:
-            raise ValueError("source voltage magnitude must be positive")
+        _check_source(self.z_s, self.v0)
+        if not cmath.isfinite(self.s_l):
+            raise ValueError("load power must be finite")
 
     def to_network(self) -> NetworkModel:
         """Equivalent one-demand-node network model."""
@@ -270,8 +280,7 @@ def feasibility_parabola(r_s: float, x_s: float, v0: float = 1.0) -> ParabolaCoe
     whose discriminant H^2 - 4 G I is identically zero (a parabola).  Loads
     with f(p, q) < 0 are feasible for this (r_s, x_s).
     """
-    if r_s == 0 and x_s == 0:
-        raise ValueError("source impedance must be nonzero")
+    _check_source(complex(r_s, x_s), v0)
     v2 = v0 * v0
     return ParabolaCoeffs(
         G=r_s * r_s,

@@ -5,10 +5,14 @@ the library (dense stamp loops, closed-form quadratics, generic circle
 intersection) so the tests do not just re-run the implementation.
 """
 
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from tpflow import fpi
 from tpflow.network import Branch, NetworkModel, SlackSpec
 from tpflow.synth import GenSpec, build_network
 
@@ -76,6 +80,25 @@ def feasible_batch(model, tau, seed, scale=1.0):
 
     spec = GenSpec(n_buses=model.n_demand + 1, seed=seed, load_scale=scale)
     return gen_scenarios(model, tau, spec)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Spy on :func:`tpflow.fpi.factorize`; its ``call_count`` counts the LUs.
+
+    The spy replaces the function in every ``tpflow`` module that binds it,
+    matched by identity, so it sees the calls from ``fpi_solve``, the sparse
+    batch and ``validate`` (which imports it from ``fpi`` when called).
+    ``import tpflow`` has loaded every module that binds it.
+    """
+    original = fpi.factorize
+    spy = mock.Mock(wraps=original)
+    for name, module in list(sys.modules.items()):
+        if name == "tpflow" or name.startswith("tpflow."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, spy)
+    return spy
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from tpflow.dense import LoadMatrix, batch_solve_dense
 from tpflow.fpi import contraction_estimate, fpi_solve
 from tpflow.network import NetworkModel, ZipCoefficients
 from tpflow.newton import nr_solve
-from tpflow.sparse import batch_solve_sparse, factorization_count
+from tpflow.sparse import batch_solve_sparse
 from tpflow.synth import GenSpec, build_network, gen_scenarios
 from tpflow.twobus import (
     TwoBusSystem,
@@ -87,7 +87,7 @@ def test_criterion_2_cross_method_oracle():
                f"max residual {worst_residual:.2e}")
 
 
-def test_criterion_3_dense_sparse_equivalence():
+def test_criterion_3_dense_sparse_equivalence(factorizations):
     """Identical batches: agreement < 1e-10, equal iterations, 1 factorization."""
     for n_buses, tau, seed in ((9, 300, 5), (101, 100, 6)):
         spec = GenSpec(n_buses=n_buses, seed=seed)
@@ -95,14 +95,14 @@ def test_criterion_3_dense_sparse_equivalence():
         loads = gen_scenarios(model, tau, spec)
 
         dense_out = batch_solve_dense(model, loads)
-        before = factorization_count()
+        before = factorizations.call_count
         sparse_out = batch_solve_sparse(model, loads)
-        n_factorizations = factorization_count() - before
+        n_lus = factorizations.call_count - before
 
         dev = float(np.abs(dense_out.values - sparse_out.values).max())
         assert dev < 1e-10, f"paths diverge by {dev:.3e}"
         assert dense_out.iterations == sparse_out.iterations
-        assert n_factorizations == 1
+        assert n_lus == 1
         assert dense_out.converged_mask.all() and sparse_out.converged_mask.all()
     _report(3, "dense and sparse agree < 1e-10 with equal iteration counts; "
                "exactly one factorization per batch")

@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from tpflow import dense, twobus
+from tpflow import dense, fileio, twobus
 from tpflow.cli import main
 from tpflow.fpi import SolveOptions
+from tpflow.network import NetworkModel
 
 
 def run(args):
@@ -131,6 +132,21 @@ class TestSolve:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {net}: invalid JSON: ")
+
+    @pytest.mark.parametrize("method", ["dense", "sparse", "fpi"])
+    def test_singular_y_dd_is_one_error_line(self, tmp_path, method, capsys):
+        # a fed two-node network whose Y_dd is singular
+        net, loads = tmp_path / "net.json", tmp_path / "loads.csv"
+        y_dd = np.array([[1 - 1j, -1 + 1j], [-1 + 1j, 1 - 1j]])
+        fileio.write_network(net, NetworkModel(y_dd, [[-0.5 + 0.5j], [0]]))
+        loads.write_text("p_1,q_1,p_2,q_2\n0.1,0.05,0.1,0.05\n")
+        code = run([
+            "solve", "--network", net, "--loads", loads, "--method", method,
+            "--out", tmp_path / "v.csv",
+        ])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
     def test_nan_tolerance_rejected(self, tmp_path, net_path, loads_path, capsys):
         code = run([
@@ -258,6 +274,22 @@ class TestTwoBus:
         code = run(["twobus", "basin", "--resolution", 0, "--out", out])
         assert code == 1
         assert capsys.readouterr().err == "error: resolution must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["region", "--rs", "nan", "--xs", 0.5], "source impedance"),
+        (["region", "--rs", 1, "--xs", 0.5, "--v0", "inf"],
+         "source voltage magnitude"),
+        (["circles", "--rs", 1, "--xs", 0.5, "--p", "nan", "--q", 0.1],
+         "load power"),
+        (["basin", "--p", "nan", "--resolution", 5], "load power"),
+        (["basin", "--xs", "inf", "--resolution", 5], "source impedance"),
+    ])
+    def test_non_finite_input_rejected(self, tmp_path, capsys, args, message):
+        out = tmp_path / "t.csv"
+        assert run(["twobus", *args, "--out", out]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message} must be")
         assert not out.exists()
 
 

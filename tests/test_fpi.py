@@ -13,6 +13,7 @@ from tpflow.fpi import (
     residual_per_case,
 )
 from tpflow.network import NetworkModel, ZipCoefficients
+from tpflow.newton import nr_solve
 
 from conftest import (
     feasible_batch, phase_coupled_model, two_bus_model, two_bus_roots_oracle,
@@ -77,6 +78,20 @@ class TestAssemble:
             fpi_solve(nine_bus_model, [0.1])
         with pytest.raises(ValueError, match="expected 8"):
             contraction_estimate(nine_bus_model, [1.0], [0.1])
+
+    # rejected at the boundary, as LoadMatrix rejects one in a batch, before
+    # numpy warns on it
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.1, -np.inf)])
+    @pytest.mark.parametrize("solve", [
+        fpi_solve, nr_solve,
+        lambda model, s: contraction_estimate(model, np.ones(s.size), s),
+    ], ids=["fpi_solve", "nr_solve", "contraction_estimate"])
+    def test_non_finite_load_rejected(self, nine_bus_model, solve, bad):
+        s = feasible_batch(nine_bus_model, 1, seed=3).values[:, 0]
+        s[3] = bad
+        with pytest.raises(ValueError, match=r"non-finite load .* at node 3$"):
+            solve(nine_bus_model, s)
 
 
 class TestSolve:

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse as sp
 
 from tpflow.dense import LoadMatrix, batch_solve_dense
-from tpflow.fpi import SingularSystemError, SolveOptions
-from tpflow.sparse import batch_solve_sparse, factorization_count, factorize
+from tpflow.fpi import SingularSystemError, SolveOptions, factorize, fpi_solve
+from tpflow.network import ZipCoefficients, validate
+from tpflow.sparse import batch_solve_sparse
 
 from conftest import feasible_batch, two_bus_model
 
@@ -49,11 +52,6 @@ class TestFactorize:
         with pytest.raises(SingularSystemError, match=r"rows \[1\]"):
             factorize(m)
 
-    def test_counter_increments(self):
-        before = factorization_count()
-        factorize(sp.eye(3, format="csc"))
-        assert factorization_count() == before + 1
-
 
 class TestBatchSolve:
     def test_matches_dense_path(self, nine_bus_model):
@@ -78,11 +76,31 @@ class TestBatchSolve:
         assert dense_out.converged_mask.all() and sparse_out.converged_mask.all()
         assert np.abs(dense_out.values - sparse_out.values).max() < 1e-10
 
-    def test_exactly_one_factorization_per_batch(self, nine_bus_model):
+    def test_exactly_one_factorization_per_batch(self, nine_bus_model, factorizations):
         loads = feasible_batch(nine_bus_model, 25, seed=40)
-        before = factorization_count()
         batch_solve_sparse(nine_bus_model, loads)
-        assert factorization_count() == before + 1
+        assert factorizations.call_count == 1
+
+    @pytest.mark.parametrize("alpha_i", [0.0, 0.3])
+    def test_spy_counts_each_path(self, nine_bus_model, factorizations, alpha_i):
+        b = nine_bus_model.n_demand
+        model = dataclasses.replace(nine_bus_model, zip=ZipCoefficients(
+            alpha_z=np.zeros(b), alpha_i=np.full(b, alpha_i),
+            alpha_p=np.full(b, 1.0 - alpha_i),
+        ))
+        loads = feasible_batch(nine_bus_model, 6, seed=40)
+        runs = {
+            "sparse": lambda: batch_solve_sparse(model, loads),
+            "fpi": lambda: fpi_solve(model, loads.values[:, 0]),
+            "dense": lambda: batch_solve_dense(model, loads),
+            "validate": lambda: validate(model),
+        }
+        counts = {}
+        for name, run in runs.items():
+            before = factorizations.call_count
+            run()
+            counts[name] = factorizations.call_count - before
+        assert counts == {"sparse": 1, "fpi": 1, "dense": 0, "validate": 1}
 
     def test_iterate_sequences_match_dense(self, nine_bus_model):
         # per-iteration voltage iterates of the two formulations agree within

@@ -119,6 +119,36 @@ class TestCircles:
             load_circles(TwoBusSystem(z_s=1.0, s_l=0.1 + 0j))
 
 
+class TestInputs:
+    # NaN fails every comparison, so a check that only rejects what compares
+    # bad (``v0 <= 0``) lets it through
+    @pytest.mark.parametrize("field, value, message", [
+        ("z_s", complex(math.nan, 0.5), "source impedance"),
+        ("z_s", complex(1.0, math.inf), "source impedance"),
+        ("z_s", 0j, "source impedance"),
+        ("v0", math.nan, "source voltage magnitude"),
+        ("v0", math.inf, "source voltage magnitude"),
+        ("v0", 0.0, "source voltage magnitude"),
+        ("s_l", complex(math.nan, 0.1), "load power"),
+        ("s_l", complex(0.1, -math.inf), "load power"),
+    ])
+    def test_system_rejects_non_finite_or_zero(self, field, value, message):
+        kwargs = {"z_s": 1.0 + 0.5j, "v0": 1.0, "s_l": 0.18 + 0.11j, field: value}
+        with pytest.raises(ValueError, match=f"{message} must be"):
+            TwoBusSystem(**kwargs)
+
+    @pytest.mark.parametrize("r_s, x_s, v0, message", [
+        (math.nan, 0.5, 1.0, "source impedance"),
+        (1.0, math.inf, 1.0, "source impedance"),
+        (0.0, 0.0, 1.0, "source impedance"),
+        (1.0, 0.5, math.nan, "source voltage magnitude"),
+        (1.0, 0.5, math.inf, "source voltage magnitude"),
+    ])
+    def test_parabola_rejects_non_finite_or_zero(self, r_s, x_s, v0, message):
+        with pytest.raises(ValueError, match=f"{message} must be"):
+            feasibility_parabola(r_s, x_s, v0)
+
+
 class TestRadicalLine:
     def test_reference_intercept_is_zero(self):
         sys_ = TwoBusSystem(z_s=1.0 + 0.5j, v0=1.0, s_l=0.18 + 0.11j)
